@@ -8,6 +8,22 @@ length is a conjugacy invariant.  An element is conjugate into a factor
 exactly when its cyclically reduced form has at most one syllable, the
 criterion everything here runs on; a bounded brute-force conjugator
 search acts as the independent oracle.
+
+Reduced forms come from one left-to-right pass with a stack
+(Magnus-Karrass-Solitar section 4.2; Lyndon-Schupp chapter IV).  Each
+incoming syllable is freely reduced, and dropped if empty.  It merges
+into the top of the stack when both lie in the same factor; a power of
+c arriving on a syllable of the other factor is first rewritten in that
+factor; a power of c alone on the stack moves into the factor of the
+next syllable (the leftmost power of c goes first).  A merged syllable
+goes through the same steps again, so a top that collapses to the
+identity or to a power of c carries on into the syllable below.
+
+One pass is enough: between incoming syllables the stack is a reduced
+form (alternating factors, no power of c unless it is the only
+syllable), so only the top can interact with what comes next, and
+every step keeps the product while it pops the stack or ends in a push.
+The work is linear in the number of syllables; nothing restarts.
 """
 
 from __future__ import annotations
@@ -15,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .words import (
@@ -23,18 +40,13 @@ from .words import (
     cyclic_reduce,
     enumerate_reduced_words,
     format_word,
-    inverse,
     inverse_word,
-    primitive_root,
+    is_power_of,
     reduce,
 )
 
 FACTOR_A = "A"
 FACTOR_B = "B"
-
-RAW = "raw"
-REDUCED = "reduced"
-CYCLICALLY_REDUCED = "cyclically_reduced"
 
 
 class HypothesisError(PreconditionError):
@@ -67,6 +79,12 @@ class AmalgamPresentation:
     def amalgam_word(self, factor: str) -> tuple[int, ...]:
         return self.c_a if factor == FACTOR_A else self.c_b
 
+    @cached_property
+    def edge_words(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """(c, c**-1) in each factor."""
+        pairs = ((FACTOR_A, self.c_a), (FACTOR_B, self.c_b))
+        return {tag: (c, inverse_word(c)) for tag, c in pairs}
+
     def other(self, factor: str) -> str:
         return FACTOR_B if factor == FACTOR_A else FACTOR_A
 
@@ -96,7 +114,6 @@ class AmalgamWord:
     """
 
     syllables: tuple[tuple[str, tuple[int, ...]], ...]
-    status: str = RAW
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -107,78 +124,50 @@ class AmalgamWord:
         return "".join(f"({tag}: {format_word(w)})" for tag, w in self.syllables)
 
 
-def word_of(*syllables: FactorElement) -> AmalgamWord:
-    return AmalgamWord(tuple((e.factor, e.word) for e in syllables))
-
-
-def c_power_of(p: AmalgamPresentation, e: FactorElement) -> Optional[int]:
-    """k with e = c**k in its factor, if any (0 for the identity)."""
-    w = reduce(e.word)
-    if not w:
+def c_power_of(p: AmalgamPresentation, factor: str, word: tuple[int, ...]) -> Optional[int]:
+    """k with the reduced word equal to c**k in the given factor, if any
+    (0 for the empty word)."""
+    if not word:
         return 0
-    c = p.amalgam_word(e.factor)
-    q, r = divmod(len(w), len(c))
-    if r:
+    c, c_inv = p.edge_words[factor]
+    n = len(c)
+    q, r = divmod(len(word), n)
+    if r or word[n:] != word[:-n]:
         return None
-    if w == c * q:
-        return q
-    if w == inverse_word(c) * q:
-        return -q
-    return None
+    head = word[:n]
+    return q if head == c else -q if head == c_inv else None
 
 
-def _syllable_c_power(p: AmalgamPresentation, tag: str, w: tuple[int, ...]) -> Optional[int]:
-    # assumes w already reduced; avoids FactorElement validation in hot loops
-    if not w:
-        return 0
-    c = p.c_a if tag == FACTOR_A else p.c_b
-    q, r = divmod(len(w), len(c))
-    if r:
-        return None
-    if w == c * q:
-        return q
-    if w == inverse_word(c) * q:
-        return -q
-    return None
+def _c_power_word(p: AmalgamPresentation, factor: str, k: int) -> tuple[int, ...]:
+    c, c_inv = p.edge_words[factor]
+    return c * k if k >= 0 else c_inv * -k
 
 
 def _normalize_syllables(
     p: AmalgamPresentation, syllables: list[tuple[str, tuple[int, ...]]]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """Merge same-factor neighbours, drop trivial syllables, and push
-    powers of the edge generator into the other factor until stable."""
-    out = list(syllables)
-    changed = True
-    while changed:
-        changed = False
-        merged: list[tuple[str, tuple[int, ...]]] = []
-        for tag, w in out:
-            w = reduce(w)
-            if not w:
-                changed = True
+    """The reduced form of the product, by the stack pass described in
+    the module docstring."""
+    out: list[tuple[str, tuple[int, ...]]] = []
+    for tag, w in syllables:
+        w = reduce(w)
+        while w:
+            if out and out[-1][0] == tag:
+                w = reduce(out.pop()[1] + w)
                 continue
-            if merged and merged[-1][0] == tag:
-                merged[-1] = (tag, reduce(merged[-1][1] + w))
-                changed = True
-            else:
-                merged.append((tag, w))
-        while merged and not merged[-1][1]:
-            merged.pop()
-            changed = True
-        out = [(tag, w) for tag, w in merged if w]
-        if len(out) < len(merged):
-            changed = True
-        if len(out) <= 1:
+            if len(out) == 1:
+                k = c_power_of(p, *out[0])
+                if k is not None:
+                    out.pop()
+                    w = reduce(_c_power_word(p, tag, k) + w)
+                    continue
+            k = c_power_of(p, tag, w)
+            if k is not None and out:
+                tag = out[-1][0]
+                w = _c_power_word(p, tag, k)
+                continue
+            out.append((tag, w))
             break
-        for idx, (tag, w) in enumerate(out):
-            k = _syllable_c_power(p, tag, w)
-            if k is not None:
-                other = p.other(tag)
-                c_other = p.amalgam_word(other)
-                moved = reduce(c_other * k) if k >= 0 else reduce(inverse_word(c_other) * (-k))
-                out[idx] = (other, moved)
-                changed = True
-                break
     return out
 
 
@@ -186,7 +175,7 @@ def normalize(p: AmalgamPresentation, w: AmalgamWord) -> AmalgamWord:
     """Reduced form: alternating factors, no syllable a power of the edge
     generator unless the whole word is a single syllable or trivial.
     The output's syllable count is an invariant of the element."""
-    return AmalgamWord(tuple(_normalize_syllables(p, list(w.syllables))), REDUCED)
+    return AmalgamWord(tuple(_normalize_syllables(p, list(w.syllables))))
 
 
 def _cyclic_normalize_syllables(
@@ -202,23 +191,30 @@ def cyclic_normalize(p: AmalgamPresentation, w: AmalgamWord) -> AmalgamWord:
     """A cyclically reduced conjugate: first and last syllables lie in
     different factors, or the length is at most one.  The output length
     is a conjugacy invariant."""
-    return AmalgamWord(
-        tuple(_cyclic_normalize_syllables(p, list(w.syllables))), CYCLICALLY_REDUCED
-    )
+    return AmalgamWord(tuple(_cyclic_normalize_syllables(p, list(w.syllables))))
 
 
 def conjugate_into_factor(p: AmalgamPresentation, w: AmalgamWord) -> Optional[str]:
     """Factor containing a conjugate of w, if any.
 
     A cyclically reduced word of syllable length two or more is never
-    conjugate into a factor; the identity reports factor A.
+    conjugate into a factor.  Elements conjugate into the edge group C,
+    the identity among them, lie in both factors; for them the answer is
+    always factor A, whatever the spelling of w.
     """
-    cyc = _cyclic_normalize_syllables(p, list(w.syllables))
-    if len(cyc) >= 2:
+    return _factor_of(p, _cyclic_normalize_syllables(p, list(w.syllables)))
+
+
+def _factor_of(
+    p: AmalgamPresentation, syllables: list[tuple[str, tuple[int, ...]]]
+) -> Optional[str]:
+    """The factor a reduced form of at most one syllable lies in, A for
+    conjugates of powers of c; None for longer forms."""
+    if len(syllables) >= 2:
         return None
-    if not cyc:
+    if not syllables or is_factor_peripheral(p, FactorElement(*syllables[0])):
         return FACTOR_A
-    return cyc[0][0]
+    return syllables[0][0]
 
 
 def is_factor_peripheral(p: AmalgamPresentation, e: FactorElement) -> bool:
@@ -227,11 +223,7 @@ def is_factor_peripheral(p: AmalgamPresentation, e: FactorElement) -> bool:
     cyc = canonical_cyclic(e.word)
     if cyc.is_trivial:
         return True
-    root_e, mult_e = primitive_root(cyc)
-    root_c, mult_c = primitive_root(canonical_cyclic(p.amalgam_word(e.factor)))
-    if mult_e % mult_c:
-        return False
-    return root_e == root_c or root_e == inverse(root_c)
+    return is_power_of(cyc, canonical_cyclic(p.amalgam_word(e.factor)))
 
 
 def _conjugated(
@@ -239,6 +231,20 @@ def _conjugated(
 ) -> list[tuple[str, tuple[int, ...]]]:
     back = [(tag, inverse_word(w)) for tag, w in reversed(conj)]
     return conj + target + back
+
+
+def _statement_1_holds(cyc: list[tuple[str, tuple[int, ...]]]) -> bool:
+    """Statement 1's conclusion, given the cyclic form of a * g: a * g is
+    not conjugate into a factor."""
+    return len(cyc) >= 2
+
+
+def _statement_2_holds(
+    cyc: list[tuple[str, tuple[int, ...]]], g: list[tuple[str, tuple[int, ...]]]
+) -> bool:
+    """Statement 2's conclusion, given the cyclic form of a * g and the
+    reduced form of g: if a * g is conjugate into a factor, g lies in A."""
+    return len(cyc) >= 2 or not g or (len(g) == 1 and g[0][0] == FACTOR_A)
 
 
 def check_lemma_statement_1(
@@ -253,8 +259,8 @@ def check_lemma_statement_1(
         raise HypothesisError("a must not be conjugate into the edge subgroup")
     if is_factor_peripheral(p, b):
         raise HypothesisError("b must not be conjugate into the edge subgroup")
-    g = _conjugated(list(h.syllables), [(FACTOR_B, b.word)])
-    return conjugate_into_factor(p, AmalgamWord(tuple([(FACTOR_A, a.word)] + g))) is None
+    g = _normalize_syllables(p, _conjugated(list(h.syllables), [(FACTOR_B, b.word)]))
+    return _statement_1_holds(_cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g))
 
 
 def check_lemma_statement_2(
@@ -269,11 +275,25 @@ def check_lemma_statement_2(
         raise HypothesisError("a must not be conjugate into the edge subgroup")
     if is_factor_peripheral(p, a_prime):
         raise HypothesisError("a' must not be conjugate into the edge subgroup")
-    g = _conjugated(list(h.syllables), [(FACTOR_A, a_prime.word)])
-    if conjugate_into_factor(p, AmalgamWord(tuple([(FACTOR_A, a.word)] + g))) is None:
-        return True
-    g_reduced = _normalize_syllables(p, g)
-    return len(g_reduced) == 0 or (len(g_reduced) == 1 and g_reduced[0][0] == FACTOR_A)
+    g = _normalize_syllables(p, _conjugated(list(h.syllables), [(FACTOR_A, a_prime.word)]))
+    return _statement_2_holds(_cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g), g)
+
+
+def _factor_words(p: AmalgamPresentation, max_letters: int) -> dict:
+    """Non-empty reduced words of at most max_letters letters, per factor."""
+    return {
+        tag: [w for w in enumerate_reduced_words(rank, max_letters) if w]
+        for tag, rank in ((FACTOR_A, p.rank_a), (FACTOR_B, p.rank_b))
+    }
+
+
+def _alternating(p: AmalgamPresentation, words: dict, count: int):
+    """Every alternating sequence of count syllables drawn from the given
+    words per factor, those starting in A first."""
+    for start in (FACTOR_A, FACTOR_B):
+        tags = [start if k % 2 == 0 else p.other(start) for k in range(count)]
+        for choice in itertools.product(*(words[t] for t in tags)):
+            yield list(zip(tags, choice))
 
 
 def brute_force_conjugate_into_factor(
@@ -293,23 +313,13 @@ def brute_force_conjugate_into_factor(
         raise PreconditionError("brute force bounds are capped at 4 syllables, 3 letters")
     base = _normalize_syllables(p, list(w.syllables))
     if len(base) <= 1:
-        return FACTOR_A if not base else base[0][0]
-    factor_words = {
-        tag: [
-            word
-            for word in enumerate_reduced_words(rank, max_letters)
-            if word
-        ]
-        for tag, rank in ((FACTOR_A, p.rank_a), (FACTOR_B, p.rank_b))
-    }
+        return _factor_of(p, base)
+    factor_words = _factor_words(p, max_letters)
     for count in range(1, max_syllables + 1):
-        for start in (FACTOR_A, FACTOR_B):
-            tags = [start if k % 2 == 0 else p.other(start) for k in range(count)]
-            for choice in itertools.product(*(factor_words[t] for t in tags)):
-                conj = list(zip(tags, choice))
-                result = _normalize_syllables(p, _conjugated(conj, base))
-                if len(result) <= 1:
-                    return FACTOR_A if not result else result[0][0]
+        for conj in _alternating(p, factor_words, count):
+            result = _normalize_syllables(p, _conjugated(conj, base))
+            if len(result) <= 1:
+                return _factor_of(p, result)
     return None
 
 
@@ -338,22 +348,16 @@ def enumerate_h_words(
 ) -> list[AmalgamWord]:
     """Reduced-form conjugating words: alternating syllables, none a
     power of the edge generator (single-syllable h may be anything)."""
-    words = {
-        tag: [w for w in enumerate_reduced_words(rank, max_letters) if w]
-        for tag, rank in ((FACTOR_A, p.rank_a), (FACTOR_B, p.rank_b))
-    }
+    words = _factor_words(p, max_letters)
     non_c = {
-        tag: [w for w in ws if _syllable_c_power(p, tag, w) is None]
+        tag: [w for w in ws if c_power_of(p, tag, w) is None]
         for tag, ws in words.items()
     }
-    out = [AmalgamWord((), REDUCED)]
+    out = [AmalgamWord(())]
     for tag in (FACTOR_A, FACTOR_B):
-        out.extend(AmalgamWord(((tag, w),), REDUCED) for w in words[tag])
+        out.extend(AmalgamWord(((tag, w),)) for w in words[tag])
     for count in range(2, max_syllables + 1):
-        for start in (FACTOR_A, FACTOR_B):
-            tags = [start if k % 2 == 0 else p.other(start) for k in range(count)]
-            for choice in itertools.product(*(non_c[t] for t in tags)):
-                out.append(AmalgamWord(tuple(zip(tags, choice)), REDUCED))
+        out.extend(AmalgamWord(tuple(s)) for s in _alternating(p, non_c, count))
     return out
 
 
@@ -368,12 +372,8 @@ def lemma_sweep(
     conjugate_into_factor with the brute-force oracle on a deduplicated
     selection of the instances' cyclic forms."""
     non_peripheral = {
-        tag: [
-            FactorElement(tag, w)
-            for w in enumerate_reduced_words(rank, max_letters)
-            if w and not is_factor_peripheral(p, FactorElement(tag, w))
-        ]
-        for tag, rank in ((FACTOR_A, p.rank_a), (FACTOR_B, p.rank_b))
+        tag: [e for e in (FactorElement(tag, w) for w in ws) if not is_factor_peripheral(p, e)]
+        for tag, ws in _factor_words(p, max_letters).items()
     }
     h_words = enumerate_h_words(p, max_letters, max_h_syllables)
 
@@ -391,7 +391,7 @@ def lemma_sweep(
                 cyc = _cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g)
                 instances_1 += 1
                 case_counts[shape] = case_counts.get(shape, 0) + 1
-                if len(cyc) < 2:
+                if not _statement_1_holds(cyc):
                     return LemmaSweepReport(
                         False, instances_1, instances_2, case_counts, 0, True,
                         failure=f"statement 1 failed on a={a}, h={h}, b={b}",
@@ -400,11 +400,10 @@ def lemma_sweep(
                     oracle_forms.setdefault(tuple(cyc), AmalgamWord(tuple(cyc)))
         for a_prime in non_peripheral[FACTOR_A]:
             g = _normalize_syllables(p, _conjugated(h_list, [(FACTOR_A, a_prime.word)]))
-            g_in_a = len(g) == 0 or (len(g) == 1 and g[0][0] == FACTOR_A)
             for a in non_peripheral[FACTOR_A]:
                 cyc = _cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g)
                 instances_2 += 1
-                if len(cyc) < 2 and not g_in_a:
+                if not _statement_2_holds(cyc, g):
                     return LemmaSweepReport(
                         False, instances_1, instances_2, case_counts, 0, True,
                         failure=f"statement 2 failed on a={a}, h={h}, a'={a_prime}",
@@ -433,14 +432,11 @@ def lemma_sweep(
 __all__ = [
     "AmalgamPresentation",
     "AmalgamWord",
-    "CYCLICALLY_REDUCED",
     "FACTOR_A",
     "FACTOR_B",
     "FactorElement",
     "HypothesisError",
     "LemmaSweepReport",
-    "RAW",
-    "REDUCED",
     "brute_force_conjugate_into_factor",
     "c_power_of",
     "check_lemma_statement_1",
@@ -451,5 +447,4 @@ __all__ = [
     "is_factor_peripheral",
     "lemma_sweep",
     "normalize",
-    "word_of",
 ]

@@ -11,6 +11,7 @@ anything else leaves a certificate.  A preserving verdict only means
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -193,7 +194,7 @@ def audit_bracket(
     return AuditReport(verdict, certs, length_bound, description, len(pairs))
 
 
-def _usable(s: SurfaceSymbol, x: CyclicClass, y: CyclicClass) -> bool:
+def _usable(x: CyclicClass, y: CyclicClass) -> bool:
     if x.is_trivial or y.is_trivial:
         return False
     root_x, mult_x = primitive_root(x)
@@ -223,7 +224,7 @@ def audit_intersection(
     checked = skipped = 0
     for x, y in pairs:
         fx, fy = apply_map(m, x), apply_map(m, y)
-        if not (_usable(m.source, x, y) and _usable(m.target, fx, fy)):
+        if not (_usable(x, y) and _usable(fx, fy)):
             skipped += 1
             continue
         checked += 1
@@ -269,18 +270,22 @@ def parse_map_file(text: str, base_dir: Path) -> SurfaceMap:
     """
     source: Optional[SurfaceSymbol] = None
     target: Optional[SurfaceSymbol] = None
-    images: dict[int, tuple[int, ...]] = {}
+    # generator -> (image token, line, column); parsed once the target rank is known
+    image_tokens: dict[int, tuple[str, int, int]] = {}
     expect = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        fields = line.split()
-        keyword = fields[0]
-        col = line.index(keyword) + 1
+        tokens = list(re.finditer(r"\S+", line))
+        fields = [t.group() for t in tokens]
+        cols = [t.start() + 1 for t in tokens]
+        keyword, col = fields[0], cols[0]
         if keyword in ("source", "target"):
             if len(fields) != 2:
                 raise ParseError(f"expected '{keyword} <surface-file>'", lineno, col)
+            if (source if keyword == "source" else target) is not None:
+                raise ParseError(f"duplicate '{keyword}' line", lineno, col)
             path = base_dir / fields[1]
             try:
                 symbol = parse_surface(path.read_text())
@@ -298,30 +303,33 @@ def parse_map_file(text: str, base_dir: Path) -> SurfaceMap:
             try:
                 (gen,) = parse_word(fields[1], rank=source.rank)
             except ValueError as exc:
-                raise ParseError(str(exc), lineno, line.index(fields[1], col) + 1) from exc
+                raise ParseError(str(exc), lineno, cols[1]) from exc
             if gen < 0:
                 raise ParseError("map lines name generators, not inverses", lineno, col)
-            rank = target.rank if target is not None else None
-            try:
-                images[gen] = parse_word(fields[3], rank=rank)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, line.index(fields[3], col) + 1) from exc
+            if gen in image_tokens:
+                raise ParseError(f"duplicate image for generator {fields[1]}", lineno, cols[1])
+            image_tokens[gen] = (fields[3], lineno, cols[3])
         elif keyword == "expect_equivalence":
             expect = True
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, col)
     if source is None or target is None:
         raise ParseError("map file must define 'source' and 'target'", 1, 1)
-    missing = [g for g in range(1, source.rank + 1) if g not in images]
+    missing = [g for g in range(1, source.rank + 1) if g not in image_tokens]
     if missing:
         raise ParseError(
             f"missing images for generators: {', '.join(format_word((g,)) for g in missing)}",
             1,
             1,
         )
-    return SurfaceMap(
-        source, target, tuple(images[g] for g in range(1, source.rank + 1)), expect
-    )
+    images = []
+    for g in range(1, source.rank + 1):
+        token, lineno, col = image_tokens[g]
+        try:
+            images.append(parse_word(token, rank=target.rank))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno, col) from exc
+    return SurfaceMap(source, target, tuple(images), expect)
 
 
 __all__ = [

@@ -48,11 +48,11 @@ def _cmd_bracket(args) -> int:
 def _cmd_intersect(args) -> int:
     s = _load_surface(args.surface)
     x, y = _class_arg(args.word1, s), _class_arg(args.word2, s)
-    pairs = linking.linked_pairs(s, x, y)
+    count = linking.intersection_number(s, x, y)
     if args.pairs:
-        for p in pairs:
+        for p in linking.linked_pairs(s, x, y):
             print(f"({p.occ1.index}, {p.occ2.index}, {p.sign:+d})")
-    print(linking.intersection_number(s, x, y))
+    print(count)
     return EXIT_OK
 
 

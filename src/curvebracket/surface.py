@@ -22,13 +22,9 @@ from .words import (
     TrivialClassError,
     canonical_cyclic,
     format_word,
-    inverse,
+    is_power_of,
     parse_word,
-    primitive_root,
 )
-
-#: A boundary cycle is just the cyclic word traced along a face.
-BoundaryCycle = CyclicClass
 
 
 class ParseError(ValueError):
@@ -61,19 +57,13 @@ class SurfaceSymbol:
         return f"rank {self.rank}, order {' '.join(format_word((g,)) for g in self.germ_order)}"
 
 
-def from_text(order_text: str) -> SurfaceSymbol:
-    """Build a symbol from a germ-order string like ``"abAB"``."""
-    germs = parse_word(order_text)
-    return SurfaceSymbol(max(abs(g) for g in germs), germs)
-
-
 @lru_cache(maxsize=None)
 def germ_positions(s: SurfaceSymbol) -> dict[int, int]:
     return {g: i for i, g in enumerate(s.germ_order)}
 
 
 @lru_cache(maxsize=None)
-def boundary_cycles(s: SurfaceSymbol) -> tuple[BoundaryCycle, ...]:
+def boundary_cycles(s: SurfaceSymbol) -> tuple[CyclicClass, ...]:
     """One canonical cyclic word per face, sorted by canonical form.
 
     Face tracing: from germ g move to successor(inverse(g)).
@@ -122,15 +112,7 @@ def is_peripheral(s: SurfaceSymbol, x: CyclicClass) -> bool:
     """Whether x is, up to inversion, a positive power of a boundary cycle."""
     if x.is_trivial:
         raise TrivialClassError("peripherality is undefined for the trivial class")
-    root_x, mult_x = primitive_root(x)
-    root_x_inv = inverse(root_x)
-    for cycle in boundary_cycles(s):
-        root_c, mult_c = primitive_root(cycle)
-        if mult_x % mult_c:
-            continue
-        if root_x == root_c or root_x_inv == root_c:
-            return True
-    return False
+    return any(is_power_of(x, cycle) for cycle in boundary_cycles(s))
 
 
 def parse_surface(text: str) -> SurfaceSymbol:
@@ -177,13 +159,11 @@ def parse_surface(text: str) -> SurfaceSymbol:
 
 
 __all__ = [
-    "BoundaryCycle",
     "ParseError",
     "PreconditionError",
     "SurfaceSymbol",
     "boundary_cycles",
     "classify",
-    "from_text",
     "germ_positions",
     "is_excluded_surface",
     "is_peripheral",

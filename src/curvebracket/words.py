@@ -148,9 +148,6 @@ class CyclicClass:
         return (len(self.letters), word_key(self.letters))
 
 
-TRIVIAL_CLASS = CyclicClass(())
-
-
 def canonical_cyclic(word) -> CyclicClass:
     """Cyclically reduce, then pick the canonical rotation.
 
@@ -189,6 +186,21 @@ def primitive_root(x: CyclicClass) -> tuple[CyclicClass, int]:
         if all(w[i] == w[(i + d) % n] for i in range(n)):
             return canonical_cyclic(w[:d]), n // d
     raise AssertionError("unreachable: every word has period len(word)")
+
+
+def is_power_of(x: CyclicClass, c: CyclicClass) -> bool:
+    """Whether the non-trivial class x is c**k for some k != 0: the
+    primitive roots agree up to inversion and c's multiplicity divides
+    x's.
+
+    >>> is_power_of(canonical_cyclic(parse_word("BBBB")), canonical_cyclic(parse_word("bb")))
+    True
+    >>> is_power_of(canonical_cyclic(parse_word("b")), canonical_cyclic(parse_word("bb")))
+    False
+    """
+    root_x, mult_x = primitive_root(x)
+    root_c, mult_c = primitive_root(c)
+    return mult_x % mult_c == 0 and (root_x == root_c or root_x == inverse(root_c))
 
 
 def class_power(x: CyclicClass, k: int) -> CyclicClass:

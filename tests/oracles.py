@@ -3,11 +3,14 @@
 These deliberately avoid the library's crossing machinery: the slope
 oracle is the determinant formula for curves on the torus, and the
 slope words are built by the digital-line (Christoffel) construction.
+The amalgam reference is the original restart-until-stable normal-form
+loop, kept to check the library's single stack pass against.
 """
 
 import math
 
-from curvebracket.words import CyclicClass, canonical_cyclic
+from curvebracket.amalgam import FACTOR_A, FactorElement, is_factor_peripheral
+from curvebracket.words import CyclicClass, canonical_cyclic, inverse_word, reduce
 
 
 def slope_intersection(p: int, q: int, r: int, s: int) -> int:
@@ -39,3 +42,76 @@ def coprime_pairs(bound: int):
         for q in range(-bound, bound + 1)
         if (p, q) != (0, 0) and math.gcd(p, q) == 1
     ]
+
+
+def _syllable_c_power(p, tag, w):
+    # assumes w already reduced; avoids FactorElement validation in hot loops
+    if not w:
+        return 0
+    c = p.c_a if tag == FACTOR_A else p.c_b
+    q, r = divmod(len(w), len(c))
+    if r:
+        return None
+    if w == c * q:
+        return q
+    if w == inverse_word(c) * q:
+        return -q
+    return None
+
+
+def reference_normalize_syllables(p, syllables):
+    """Merge same-factor neighbours, drop trivial syllables, and push
+    powers of the edge generator into the other factor until stable."""
+    out = list(syllables)
+    changed = True
+    while changed:
+        changed = False
+        merged = []
+        for tag, w in out:
+            w = reduce(w)
+            if not w:
+                changed = True
+                continue
+            if merged and merged[-1][0] == tag:
+                merged[-1] = (tag, reduce(merged[-1][1] + w))
+                changed = True
+            else:
+                merged.append((tag, w))
+        while merged and not merged[-1][1]:
+            merged.pop()
+            changed = True
+        out = [(tag, w) for tag, w in merged if w]
+        if len(out) < len(merged):
+            changed = True
+        if len(out) <= 1:
+            break
+        for idx, (tag, w) in enumerate(out):
+            k = _syllable_c_power(p, tag, w)
+            if k is not None:
+                other = p.other(tag)
+                c_other = p.amalgam_word(other)
+                moved = reduce(c_other * k) if k >= 0 else reduce(inverse_word(c_other) * (-k))
+                out[idx] = (other, moved)
+                changed = True
+                break
+    return out
+
+
+def reference_cyclic_normalize_syllables(p, syllables):
+    out = reference_normalize_syllables(p, syllables)
+    while len(out) >= 2 and out[0][0] == out[-1][0]:
+        out = reference_normalize_syllables(p, [out[-1]] + out[:-1])
+    return out
+
+
+def reference_conjugate_into_factor(p, syllables):
+    """conjugate_into_factor on the reference loop's cyclic form.  A
+    conjugate of a power of c lies in both factors; the reference loop
+    leaves it in a factor that depends on the spelling, so it is
+    reported as factor A, the library's convention."""
+    cyc = reference_cyclic_normalize_syllables(p, syllables)
+    if len(cyc) >= 2:
+        return None
+    if not cyc or is_factor_peripheral(p, FactorElement(*cyc[0])):
+        return FACTOR_A
+    return cyc[0][0]

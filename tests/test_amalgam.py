@@ -21,6 +21,11 @@ from curvebracket.amalgam import (
     normalize,
 )
 from curvebracket.words import inverse_word, reduce
+from oracles import (
+    reference_conjugate_into_factor,
+    reference_cyclic_normalize_syllables,
+    reference_normalize_syllables,
+)
 
 
 # Factor A is free on x, y (letters 1, 2); factor B free on u, v.
@@ -53,13 +58,15 @@ def test_presentation_validation():
 
 
 def test_c_power_of():
-    assert c_power_of(P, FactorElement(FACTOR_A, (1, 1))) == 2
-    assert c_power_of(P, FactorElement(FACTOR_A, Y)) is None
-    assert c_power_of(P, FactorElement(FACTOR_A, ())) == 0
-    assert c_power_of(P, FactorElement(FACTOR_B, (-1, -1, -1))) == -3
+    assert c_power_of(P, FACTOR_A, (1, 1)) == 2
+    assert c_power_of(P, FACTOR_A, Y) is None
+    assert c_power_of(P, FACTOR_A, ()) == 0
+    assert c_power_of(P, FACTOR_B, (-1, -1, -1)) == -3
     longer = AmalgamPresentation(2, 2, (1, 2), (1,))
-    assert c_power_of(longer, FactorElement(FACTOR_A, (1, 2, 1, 2))) == 2
-    assert c_power_of(longer, FactorElement(FACTOR_A, (1, 2, 1))) is None
+    assert c_power_of(longer, FACTOR_A, (1, 2, 1, 2)) == 2
+    assert c_power_of(longer, FACTOR_A, (-2, -1, -2, -1)) == -2
+    assert c_power_of(longer, FACTOR_A, (1, 2, 1)) is None
+    assert c_power_of(longer, FACTOR_A, (2, 1, 2, 1)) is None
 
 
 def test_normalize_examples():
@@ -87,6 +94,10 @@ def test_conjugate_into_factor():
     assert conjugate_into_factor(P, W(A(Y), B(V))) is None
     assert conjugate_into_factor(P, W(A((2, 1, -2)))) == FACTOR_A
     assert conjugate_into_factor(P, W()) == FACTOR_A
+    # conjugates of powers of c lie in both factors and always report A
+    assert conjugate_into_factor(P, W(B(U))) == FACTOR_A
+    assert conjugate_into_factor(P, W(B(U), A(Y), A((-2,)))) == FACTOR_A
+    assert conjugate_into_factor(P, W(B((2, 1, -2)))) == FACTOR_A
 
 
 def test_brute_force_oracle():
@@ -215,3 +226,64 @@ def test_lemma_sweep_small():
     assert report.oracle_agreed
     assert report.instances_1 > 0 and report.instances_2 > 0
     assert "empty" in report.case_counts
+
+
+# c = a, c = ab, c = aa, and a rank-3 factor with a longer edge word
+DIFFERENTIAL_PRESENTATIONS = (
+    P,
+    AmalgamPresentation(2, 2, (1, 2), (1,)),
+    AmalgamPresentation(2, 2, (1, 1), (2,)),
+    AmalgamPresentation(3, 2, (1, 2, -3), (1, 1)),
+)
+
+
+def assert_matches_reference(p, syllables):
+    w = AmalgamWord(tuple(syllables))
+    new = normalize(p, w).syllables
+    ref = reference_normalize_syllables(p, syllables)
+    assert len(new) == len(ref)
+    assert all(s[0] != t[0] for s, t in zip(new, new[1:]))
+    assert len(new) <= 1 or all(c_power_of(p, tag, word) is None for tag, word in new)
+    back = [(tag, inverse_word(word)) for tag, word in reversed(ref)]
+    assert reference_normalize_syllables(p, list(new) + back) == []
+    cyc = cyclic_normalize(p, w).syllables
+    assert len(cyc) == len(reference_cyclic_normalize_syllables(p, syllables))
+    assert conjugate_into_factor(p, w) == reference_conjugate_into_factor(p, syllables)
+
+
+def _random_syllable(rng, p):
+    tag = rng.choice((FACTOR_A, FACTOR_B))
+    if rng.random() < 0.3:
+        c = p.amalgam_word(tag)
+        k = rng.choice((-2, -1, 1, 2))
+        return tag, c * k if k > 0 else inverse_word(c) * -k
+    rank = p.rank_a if tag == FACTOR_A else p.rank_b
+    length = rng.randint(0, 3)
+    return tag, tuple(rng.choice((1, -1)) * rng.randint(1, rank) for _ in range(length))
+
+
+def test_normal_form_matches_reference_on_random_spellings():
+    rng = random.Random(23)
+    for p in DIFFERENTIAL_PRESENTATIONS:
+        for _ in range(1000):
+            spelled = []
+            for _ in range(rng.randint(0, 7)):
+                spelled.append(_random_syllable(rng, p))
+                if rng.random() < 0.3:
+                    # a syllable and its inverse, to make later merges cancel
+                    tag, word = _random_syllable(rng, p)
+                    spelled += [(tag, word), (tag, inverse_word(word))]
+            if rng.random() < 0.3:
+                q = [_random_syllable(rng, p) for _ in range(rng.randint(1, 3))]
+                back = [(tag, inverse_word(word)) for tag, word in reversed(q)]
+                spelled = q + spelled + back
+            assert_matches_reference(p, spelled)
+
+
+def test_normal_form_matches_reference_on_conjugates():
+    targets = [A(Y), B(V), A(X), B((2, 1, -2)), A((1, 2))]
+    for h in enumerate_h_words(P, 2, 2):
+        q = list(h.syllables)
+        back = [(tag, inverse_word(word)) for tag, word in reversed(q)]
+        for target in targets:
+            assert_matches_reference(P, q + [target] + back)

@@ -16,6 +16,7 @@ from curvebracket.auditor import (
 )
 from curvebracket.goldman import BracketElement, bracket_classes
 from curvebracket.linking import linked_pairs
+from curvebracket.surface import ParseError
 from curvebracket.words import parse_word, primitive_root
 
 from conftest import cls
@@ -215,3 +216,27 @@ def test_map_file_errors(tmp_path):
         parse_map_file(
             "source t.srf\ntarget t.srf\nmap a -> a\n", tmp_path
         )  # missing image for b
+
+
+def test_map_file_image_rank_checked_when_map_precedes_target(tmp_path):
+    (tmp_path / "torus.srf").write_text("rank 2\norder a b A B\n")
+    (tmp_path / "pants.srf").write_text("rank 2\norder a A b B\n")
+    text = "source torus.srf\nmap a -> abc\nmap b -> b\ntarget pants.srf\n"
+    with pytest.raises(ParseError) as info:
+        parse_map_file(text, tmp_path)
+    assert (info.value.line, info.value.column) == (2, 10)
+    assert "exceeds rank 2" in str(info.value)
+
+
+def test_map_file_duplicate_lines(tmp_path):
+    (tmp_path / "torus.srf").write_text("rank 2\norder a b A B\n")
+    (tmp_path / "pants.srf").write_text("rank 2\norder a A b B\n")
+    head = "source torus.srf\nmap a -> a\nmap b -> b\n"
+    for text, where in (
+        (head + "target pants.srf\ntarget torus.srf\n", (5, 1)),
+        (head + "target pants.srf\n  source torus.srf\n", (5, 3)),
+        (head + "map b -> ab\ntarget pants.srf\n", (4, 5)),
+    ):
+        with pytest.raises(ParseError, match="duplicate") as info:
+            parse_map_file(text, tmp_path)
+        assert (info.value.line, info.value.column) == where

@@ -34,6 +34,9 @@ def test_intersect():
 def test_intersect_precondition_exit_code():
     status, _ = run("intersect", DEMO / "torus.srf", "aa", "b")
     assert status == 4
+    # the precondition is checked before any linked pair is printed
+    status, out = run("intersect", DEMO / "torus.srf", "abab", "b", "--pairs")
+    assert (status, out) == (4, "")
 
 
 def test_selfint():
