@@ -11,19 +11,19 @@ anything else leaves a certificate.  A preserving verdict only means
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .goldman import BracketElement, bracket_classes, is_simple
-from .linking import _linked_cells
+from .linking import _linked_cells, unguaranteed_reason
 from .surface import (
     ParseError,
     SurfaceSymbol,
     is_excluded_surface,
     is_peripheral,
     parse_surface,
+    tokenize_lines,
 )
 from .words import (
     CyclicClass,
@@ -32,8 +32,8 @@ from .words import (
     canonical_cyclic,
     enumerate_cyclic_classes,
     format_word,
+    inverse_word,
     parse_word,
-    primitive_root,
     reduce,
 )
 
@@ -71,7 +71,7 @@ def apply_map_word(m: SurfaceMap, word: Sequence[int]) -> tuple[int, ...]:
     out: list[int] = []
     for l in word:
         image = m.images[abs(l) - 1]
-        out.extend(image if l > 0 else tuple(-x for x in reversed(image)))
+        out.extend(image if l > 0 else inverse_word(image))
     return reduce(out)
 
 
@@ -194,14 +194,6 @@ def audit_bracket(
     return AuditReport(verdict, certs, length_bound, description, len(pairs))
 
 
-def _usable(x: CyclicClass, y: CyclicClass) -> bool:
-    if x.is_trivial or y.is_trivial:
-        return False
-    root_x, mult_x = primitive_root(x)
-    root_y, mult_y = primitive_root(y)
-    return mult_x == 1 and mult_y == 1 and root_x != root_y
-
-
 def audit_intersection(
     m: SurfaceMap,
     length_bound: int,
@@ -211,8 +203,8 @@ def audit_intersection(
     """Compare intersection numbers across the map.
 
     Pairs are restricted to the regime where the count is guaranteed
-    (both classes primitive with distinct roots, on both sides); skipped
-    pairs are tallied in the report.
+    (``unguaranteed_reason`` is None for the pair and for its image);
+    skipped pairs are tallied in the report.
     """
     if mode not in ("zero_pattern", "exact"):
         raise ValueError("mode must be 'zero_pattern' or 'exact'")
@@ -224,7 +216,7 @@ def audit_intersection(
     checked = skipped = 0
     for x, y in pairs:
         fx, fy = apply_map(m, x), apply_map(m, y)
-        if not (_usable(x, y) and _usable(fx, fy)):
+        if unguaranteed_reason(x, y) or unguaranteed_reason(fx, fy):
             skipped += 1
             continue
         checked += 1
@@ -273,13 +265,7 @@ def parse_map_file(text: str, base_dir: Path) -> SurfaceMap:
     # generator -> (image token, line, column); parsed once the target rank is known
     image_tokens: dict[int, tuple[str, int, int]] = {}
     expect = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        tokens = list(re.finditer(r"\S+", line))
-        fields = [t.group() for t in tokens]
-        cols = [t.start() + 1 for t in tokens]
+    for lineno, fields, cols in tokenize_lines(text):
         keyword, col = fields[0], cols[0]
         if keyword in ("source", "target"):
             if len(fields) != 2:

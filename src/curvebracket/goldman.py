@@ -11,7 +11,7 @@ property in the test suite except that calibration case is agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .linking import _linked_cells, self_intersection
 from .surface import SurfaceSymbol
@@ -153,13 +153,11 @@ class SccReport:
     violation: Optional[tuple[CyclicClass, CyclicClass]] = None
 
 
-def _scc_violations(
-    s: SurfaceSymbol,
-    simple_classes: Iterable[CyclicClass],
-    all_classes: list[CyclicClass],
-) -> Optional[tuple[int, int]]:
+def _scc_worker(args) -> Optional[tuple[int, int]]:
     """First (x_index, y_index) where bracket vanishing and linked-pair
-    vanishing disagree, or None."""
+    vanishing disagree, over one chunk of the sweep: args is (surface,
+    chunk of indexed simple classes, all classes).  None if there is none."""
+    s, simple_classes, all_classes = args
     for xi, x in simple_classes:
         for yi, y in enumerate(all_classes):
             cells = _linked_cells(s, x.letters, y.letters)
@@ -170,39 +168,32 @@ def _scc_violations(
     return None
 
 
-def _scc_worker(args):
-    s, chunk, all_classes = args
-    return _scc_violations(s, chunk, all_classes)
-
-
 def scc_criterion_audit(
     s: SurfaceSymbol, length_bound: int, workers: int | None = None
 ) -> SccReport:
     """Check, for every simple x and every y up to the length bound, that
     the bracket vanishes exactly when the linked-pair count does.
 
-    With ``workers`` the sweep is split over processes; the report is
-    identical for any worker count (first violation in (x, y) order).
+    The simple classes are dealt into ``workers`` chunks, swept in a
+    process pool (in this process for at most one worker); the least of
+    the chunks' first violations in (x, y) order is reported, whatever
+    the worker count.
     """
     if length_bound < 1:
         raise ValueError("length bound must be at least 1")
     classes = enumerate_cyclic_classes(s.rank, length_bound)
     simples = [(i, x) for i, x in enumerate(classes) if is_simple(s, x)]
-    if workers and workers > 1 and simples:
+    workers = max(workers or 1, 1)
+    chunks = (simples[k::workers] for k in range(workers))
+    jobs = [(s, chunk, classes) for chunk in chunks if chunk]
+    if workers > 1 and simples:
         import concurrent.futures
 
-        chunks = [simples[k::workers] for k in range(workers)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            found = [
-                v
-                for v in pool.map(
-                    _scc_worker, [(s, chunk, classes) for chunk in chunks if chunk]
-                )
-                if v is not None
-            ]
-        violation = min(found) if found else None
+            found = list(pool.map(_scc_worker, jobs))
     else:
-        violation = _scc_violations(s, simples, classes)
+        found = map(_scc_worker, jobs)
+    violation = min((v for v in found if v is not None), default=None)
     return SccReport(
         passed=violation is None,
         length_bound=length_bound,

@@ -34,6 +34,15 @@ sign of a linked pair is the circular orientation of (U forward end,
 V forward end, U backward end); with counterclockwise germ order
 (a, b, A, B) on the punctured torus this makes the pair of core curves
 a, b linked with sign +1, the calibration pinned in the bracket module.
+The pair is linked when V's backward end gets the opposite orientation.
+
+One walk.  V's backward ray at visit j of y is the forward ray of the
+inverse word at (l - j) mod l, so both sides of a cell walk a word z
+from t along the U line while x[i+k] == z[t+k] and then orient
+(-x[i+k-1], x[i+k], z[t+k]).  Rays leaving through different germs are
+the walk with k = 0: its triple (-x[i-1], x[i], z[t]) of distinct germs
+is a rotation of (U forward, V's ray, U backward), and rotating three
+distinct germs keeps their cyclic orientation.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .words import (
     CyclicClass,
     PreconditionError,
     TrivialClassError,
+    inverse_word,
     primitive_root,
 )
 
@@ -84,9 +94,7 @@ def turn_sign(s: SurfaceSymbol, d: int, x: int, y: int) -> int:
     """+1 if (d, x, y) occur counterclockwise in the germ order, else -1."""
     if d == x or d == y or x == y:
         raise ValueError("turn_sign needs three pairwise distinct germs")
-    pos = germ_positions(s)
-    n2 = 2 * s.rank
-    return 1 if (pos[x] - pos[d]) % n2 < (pos[y] - pos[d]) % n2 else -1
+    return _orient(germ_positions(s), 2 * s.rank, d, x, y)
 
 
 def _orient(pos: dict[int, int], n2: int, g1: int, g2: int, g3: int) -> int:
@@ -102,40 +110,30 @@ def _linked_cells(
     n2 = 2 * s.rank
     m, l = len(x), len(y)
     cap = m + l + 1  # Fine-Wilf: distinct periodic rays diverge before this
+    # periodic extensions long enough that no walk index wraps around
+    xx = x * (2 + cap // m)
+    yy = y * (2 + cap // l)
+    zz = inverse_word(y) * (2 + cap // l)
     cells = []
     for i in range(m):
-        u_prev = x[i - 1]
-        u0 = x[i]
+        u_prev, u0 = x[i - 1], x[i]
         for j in range(l):
-            v_prev = y[j - 1]
-            v0 = y[j]
-            if u_prev == v_prev or u_prev == -v0:
+            if u_prev == y[j - 1] or u_prev == -y[j]:
                 continue  # not the canonical cell for this pair of lines
-
-            # forward side: V's forward ray against the U line
-            if u0 == v0:
-                k = 1
-                while x[(i + k) % m] == y[(j + k) % l]:
+            # V's forward ray, then its backward ray: the inverse word's
+            # forward ray at l - j; each walked along the U line
+            total = 0
+            for z, t in ((yy, j), (zz, l - j)):
+                back, u, v, k = -u_prev, u0, z[t], 0
+                while u == v:
                     k += 1
                     if k > cap:
                         raise AssertionError("rays failed to diverge")
-                s1 = _orient(pos, n2, -x[(i + k - 1) % m], x[(i + k) % m], y[(j + k) % l])
-            else:
-                s1 = _orient(pos, n2, u0, v0, -u_prev)
-
-            # backward side: V's backward ray against the U line
-            if u0 == -v_prev:
-                k = 1
-                while x[(i + k) % m] == -y[(j - 1 - k) % l]:
-                    k += 1
-                    if k > cap:
-                        raise AssertionError("rays failed to diverge")
-                s2 = _orient(pos, n2, -x[(i + k - 1) % m], x[(i + k) % m], -y[(j - 1 - k) % l])
-            else:
-                s2 = _orient(pos, n2, u0, -v_prev, -u_prev)
-
-            if s1 != s2:
-                cells.append((i, j, s1))
+                    back, u, v = -u, xx[i + k], z[t + k]
+                sign = _orient(pos, n2, back, u, v)
+                total += sign
+            if not total:  # the sides differ, so the forward sign is -sign
+                cells.append((i, j, -sign))
     return tuple(cells)
 
 
@@ -156,22 +154,31 @@ def linked_pairs(
     )
 
 
+def unguaranteed_reason(x: CyclicClass, y: CyclicClass) -> str | None:
+    """Why the linked-pair count of x and y is not guaranteed to be their
+    geometric intersection number, or None inside the guaranteed regime:
+    both classes non-trivial and primitive, with distinct primitive roots."""
+    if x.is_trivial or y.is_trivial:
+        return "the trivial class has no intersection number"
+    (root_x, mult_x), (root_y, mult_y) = primitive_root(x), primitive_root(y)
+    if mult_x != 1 or mult_y != 1:
+        return (
+            "intersection_number is only guaranteed for primitive classes; "
+            "use linked_pairs for the raw count"
+        )
+    if root_x == root_y:
+        return "intersection_number is only guaranteed for distinct primitive roots"
+    return None
+
+
 def intersection_number(s: SurfaceSymbol, x: CyclicClass, y: CyclicClass) -> int:
     """Geometric intersection number of two primitive classes with
     distinct primitive roots; the linked-pair count."""
     if x.is_trivial or y.is_trivial:
         raise TrivialClassError("intersection number needs non-trivial classes")
-    root_x, mult_x = primitive_root(x)
-    root_y, mult_y = primitive_root(y)
-    if mult_x != 1 or mult_y != 1:
-        raise UnguaranteedPairError(
-            "intersection_number is only guaranteed for primitive classes; "
-            "use linked_pairs for the raw count"
-        )
-    if root_x == root_y:
-        raise UnguaranteedPairError(
-            "intersection_number is only guaranteed for distinct primitive roots"
-        )
+    reason = unguaranteed_reason(x, y)
+    if reason is not None:
+        raise UnguaranteedPairError(reason)
     return len(_linked_cells(s, x.letters, y.letters))
 
 
@@ -197,4 +204,5 @@ __all__ = [
     "linked_pairs",
     "self_intersection",
     "turn_sign",
+    "unguaranteed_reason",
 ]

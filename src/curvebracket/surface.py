@@ -13,6 +13,8 @@ is invisible to peripherality checks (they work up to inversion).
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -115,6 +117,15 @@ def is_peripheral(s: SurfaceSymbol, x: CyclicClass) -> bool:
     return any(is_power_of(x, cycle) for cycle in boundary_cycles(s))
 
 
+def tokenize_lines(text: str) -> Iterator[tuple[int, list[str], list[int]]]:
+    """Yield (line number, fields, 1-based field columns) for each line
+    that is not blank once its ``#`` comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = list(re.finditer(r"\S+", raw.split("#", 1)[0]))
+        if tokens:
+            yield lineno, [t.group() for t in tokens], [t.start() + 1 for t in tokens]
+
+
 def parse_surface(text: str) -> SurfaceSymbol:
     """Parse the plain-text surface format::
 
@@ -125,13 +136,8 @@ def parse_surface(text: str) -> SurfaceSymbol:
     """
     rank: int | None = None
     germs: tuple[int, ...] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        fields = line.split()
-        keyword = fields[0]
-        col = line.index(keyword) + 1
+    for lineno, fields, cols in tokenize_lines(text):
+        keyword, col = fields[0], cols[0]
         if keyword == "rank":
             if len(fields) != 2 or not fields[1].isdigit():
                 raise ParseError("expected 'rank <n>'", lineno, col)
@@ -140,8 +146,7 @@ def parse_surface(text: str) -> SurfaceSymbol:
             if rank is None:
                 raise ParseError("'order' before 'rank'", lineno, col)
             collected = []
-            for tok in fields[1:]:
-                tok_col = line.index(tok, col) + 1
+            for tok, tok_col in zip(fields[1:], cols[1:]):
                 try:
                     (letter,) = parse_word(tok, rank=rank)
                 except ValueError as exc:
@@ -168,4 +173,5 @@ __all__ = [
     "is_excluded_surface",
     "is_peripheral",
     "parse_surface",
+    "tokenize_lines",
 ]

@@ -184,7 +184,8 @@ def primitive_root(x: CyclicClass) -> tuple[CyclicClass, int]:
         if n % d:
             continue
         if all(w[i] == w[(i + d) % n] for i in range(n)):
-            return canonical_cyclic(w[:d]), n // d
+            # the root of a least rotation is least and cyclically reduced
+            return CyclicClass(w[:d]), n // d
     raise AssertionError("unreachable: every word has period len(word)")
 
 
@@ -204,11 +205,15 @@ def is_power_of(x: CyclicClass, c: CyclicClass) -> bool:
 
 
 def class_power(x: CyclicClass, k: int) -> CyclicClass:
-    """The class of x**k (k >= 0).  Powers of a cyclically reduced word
-    stay cyclically reduced, so this is plain repetition."""
+    """The class of x**k (k >= 0).  Powers of a canonical word stay
+    canonical, so this is plain repetition.
+
+    >>> class_power(canonical_cyclic(parse_word("ab")), 3)
+    CyclicClass('ababab')
+    """
     if k < 0:
         raise ValueError("negative powers need inverse() first")
-    return canonical_cyclic(x.letters * k)
+    return CyclicClass(x.letters * k)
 
 
 def rotation(x: CyclicClass, i: int) -> tuple[int, ...]:

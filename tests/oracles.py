@@ -1,15 +1,21 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's crossing machinery: the slope
-oracle is the determinant formula for curves on the torus, and the
-slope words are built by the digital-line (Christoffel) construction.
-The amalgam reference is the original restart-until-stable normal-form
-loop, kept to check the library's single stack pass against.
+The slope oracles deliberately avoid the library's crossing machinery:
+the slope oracle is the determinant formula for curves on the torus,
+and the slope words are built by the digital-line (Christoffel)
+construction.  The amalgam reference is the original
+restart-until-stable normal-form loop, kept to check the library's
+single stack pass against.  The crossing reference is the original
+linked-cell kernel, with one divergence walk per side of a cell, kept
+to check the library's single walk against; it shares only the
+orientation test.
 """
 
 import math
 
 from curvebracket.amalgam import FACTOR_A, FactorElement, is_factor_peripheral
+from curvebracket.linking import _orient
+from curvebracket.surface import germ_positions
 from curvebracket.words import CyclicClass, canonical_cyclic, inverse_word, reduce
 
 
@@ -115,3 +121,47 @@ def reference_conjugate_into_factor(p, syllables):
     if not cyc or is_factor_peripheral(p, FactorElement(*cyc[0])):
         return FACTOR_A
     return cyc[0][0]
+
+
+def reference_linked_cells(s, x, y):
+    """All canonical linked cells (i, j, sign) of the rotation grid, with
+    a separate divergence walk for each of V's two rays."""
+    pos = germ_positions(s)
+    n2 = 2 * s.rank
+    m, l = len(x), len(y)
+    cap = m + l + 1  # Fine-Wilf: distinct periodic rays diverge before this
+    cells = []
+    for i in range(m):
+        u_prev = x[i - 1]
+        u0 = x[i]
+        for j in range(l):
+            v_prev = y[j - 1]
+            v0 = y[j]
+            if u_prev == v_prev or u_prev == -v0:
+                continue  # not the canonical cell for this pair of lines
+
+            # forward side: V's forward ray against the U line
+            if u0 == v0:
+                k = 1
+                while x[(i + k) % m] == y[(j + k) % l]:
+                    k += 1
+                    if k > cap:
+                        raise AssertionError("rays failed to diverge")
+                s1 = _orient(pos, n2, -x[(i + k - 1) % m], x[(i + k) % m], y[(j + k) % l])
+            else:
+                s1 = _orient(pos, n2, u0, v0, -u_prev)
+
+            # backward side: V's backward ray against the U line
+            if u0 == -v_prev:
+                k = 1
+                while x[(i + k) % m] == -y[(j - 1 - k) % l]:
+                    k += 1
+                    if k > cap:
+                        raise AssertionError("rays failed to diverge")
+                s2 = _orient(pos, n2, -x[(i + k - 1) % m], x[(i + k) % m], -y[(j - 1 - k) % l])
+            else:
+                s2 = _orient(pos, n2, u0, -v_prev, -u_prev)
+
+            if s1 != s2:
+                cells.append((i, j, s1))
+    return tuple(cells)

@@ -76,6 +76,34 @@ def test_audit_exit_codes():
     status, out = run("audit", "bracket", DEMO / "torus_swap.map", "--max-len", "3")
     assert status == 2
     assert "anti_preserving" in out
+    status, out = run(
+        "audit", "intersection", DEMO / "torus_to_pants.map", "--max-len", "3", "--mode", "exact"
+    )
+    assert status == 3
+    assert out.splitlines() == [
+        "verdict: violating",
+        "pairs checked: 120 (exhaustive over 24 classes, mode exact, guaranteed regime only)",
+        "pairs skipped (outside guaranteed regime): 180",
+        "certificate: a b pushed=1 direct=0",
+        "certificate: a B pushed=1 direct=0",
+        "certificate: a ab pushed=1 direct=0",
+        "certificate: a aB pushed=1 direct=0",
+        "certificate: a Ab pushed=1 direct=0",
+        "certificate: a AB pushed=1 direct=0",
+        "certificate: a aab pushed=1 direct=0",
+        "certificate: a aaB pushed=1 direct=0",
+        "certificate: a abb pushed=2 direct=0",
+        "certificate: a aBB pushed=2 direct=0",
+    ]
+    status, out = run(
+        "audit", "intersection", DEMO / "torus_twist_ab.map", "--max-len", "4", "--mode", "exact"
+    )
+    assert status == 0
+    assert out.splitlines() == [
+        "verdict: preserving",
+        "pairs checked: 561 (exhaustive over 50 classes, mode exact, guaranteed regime only)",
+        "pairs skipped (outside guaranteed regime): 714",
+    ]
 
 
 def test_fill_check_cli():

@@ -4,23 +4,25 @@ import pytest
 
 from curvebracket.linking import (
     UnguaranteedPairError,
+    _linked_cells,
     intersection_number,
     linked_pairs,
     self_intersection,
     turn_sign,
 )
-from curvebracket.surface import boundary_cycles
+from curvebracket.surface import SurfaceSymbol, boundary_cycles
 from curvebracket.words import (
     TrivialClassError,
     canonical_cyclic,
     class_power,
     enumerate_cyclic_classes,
+    inverse,
     inverse_word,
     parse_word,
 )
 
 from conftest import cls
-from oracles import coprime_pairs, slope_intersection, slope_word
+from oracles import coprime_pairs, reference_linked_cells, slope_intersection, slope_word
 
 
 def germ(text):
@@ -151,3 +153,43 @@ def test_inverse_class_linking_matches_doubled_self_crossings(torus, pants):
             reversed_class = canonical_cyclic(inverse_word(x.letters))
             count = len(linked_pairs(s, x, reversed_class))
             assert count == 2 * self_intersection(s, x)
+
+
+def random_class(rng, rank, max_len):
+    while True:
+        word = tuple(
+            rng.choice((1, -1)) * rng.randint(1, rank)
+            for _ in range(rng.randint(1, max_len))
+        )
+        x = canonical_cyclic(word)
+        if not x.is_trivial:
+            return x
+
+
+def test_linked_cells_match_reference_kernel(torus, pants, genus1b2):
+    # the one-walk kernel against the two-walk reference, cell for cell
+    kernel = _linked_cells.__wrapped__
+
+    def check(s, x, y):
+        assert kernel(s, x.letters, y.letters) == reference_linked_cells(
+            s, x.letters, y.letters
+        ), (s, x, y)
+
+    rng = random.Random(11)
+    symbols = [torus, pants, genus1b2]
+    for rank in (1, 2, 3, 4):
+        for _ in range(3):
+            germs = list(range(1, rank + 1)) + list(range(-rank, 0))
+            rng.shuffle(germs)
+            symbols.append(SurfaceSymbol(rank, tuple(germs)))
+    for s in symbols:
+        for _ in range(150):
+            x, y = random_class(rng, s.rank, 12), random_class(rng, s.rank, 12)
+            check(s, x, y)
+            check(s, x, x)
+            check(s, x, inverse(x))
+    for s in (torus, pants, genus1b2):
+        classes = enumerate_cyclic_classes(s.rank, 4)
+        for x in classes:
+            for y in classes:
+                check(s, x, y)

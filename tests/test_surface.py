@@ -105,6 +105,9 @@ def test_parse_surface_errors():
     with pytest.raises(ParseError) as err:
         parse_surface("rank 1\norder a ? \n")
     assert err.value.line == 2
+    with pytest.raises(ParseError) as err:
+        parse_surface("rank 2\norder a b A e\n")
+    assert (err.value.line, err.value.column) == (2, 13)
     with pytest.raises(ParseError):
         parse_surface("order a A\n")
     with pytest.raises(ParseError):
