@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .goldman import BracketElement, bracket_classes, is_simple
-from .linking import _linked_cells, unguaranteed_reason
+from .linking import linked_pairs, unguaranteed_reason
 from .surface import (
     ParseError,
     SurfaceSymbol,
@@ -220,8 +220,8 @@ def audit_intersection(
             skipped += 1
             continue
         checked += 1
-        source_count = len(_linked_cells(m.source, x.letters, y.letters))
-        target_count = len(_linked_cells(m.target, fx.letters, fy.letters))
+        source_count = len(linked_pairs(m.source, x, y))
+        target_count = len(linked_pairs(m.target, fx, fy))
         if mode == "zero_pattern":
             ok = (source_count == 0) == (target_count == 0)
         else:
@@ -245,7 +245,7 @@ def fill_check(
     checked = 0
     for y in enumerate_classes(s, length_bound, "nonperipheral"):
         checked += 1
-        if all(not _linked_cells(s, y.letters, member.letters) for member in system):
+        if all(not linked_pairs(s, y, member) for member in system):
             return FillReport(False, y, checked)
     return FillReport(True, None, checked)
 

@@ -50,8 +50,8 @@ def _cmd_intersect(args) -> int:
     x, y = _class_arg(args.word1, s), _class_arg(args.word2, s)
     count = linking.intersection_number(s, x, y)
     if args.pairs:
-        for p in linking.linked_pairs(s, x, y):
-            print(f"({p.occ1.index}, {p.occ2.index}, {p.sign:+d})")
+        for i, j, sign in linking.linked_pairs(s, x, y):
+            print(f"({i}, {j}, {sign:+d})")
     print(count)
     return EXIT_OK
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .linking import _linked_cells, self_intersection
+# _linked_cells is bound, never called, for the benchmark's fork-isolation
+# test (bench/test_bench.py); every kernel call goes through linked_pairs
+from .linking import _linked_cells, linked_pairs  # noqa: F401
 from .surface import SurfaceSymbol
 from .words import (
     CyclicClass,
@@ -115,7 +117,7 @@ def bracket_classes(
     if x.is_trivial or y.is_trivial:
         return BracketElement.zero()
     terms: dict[CyclicClass, int] = {}
-    for i, j, sign in _linked_cells(s, x.letters, y.letters):
+    for i, j, sign in linked_pairs(s, x, y):
         c = canonical_cyclic(rotation(x, i) + rotation(y, j))
         terms[c] = terms.get(c, 0) + sign
     return BracketElement(terms)
@@ -135,10 +137,7 @@ def is_simple(s: SurfaceSymbol, x: CyclicClass) -> bool:
     forced self-crossings."""
     if x.is_trivial:
         raise TrivialClassError("simplicity is undefined for the trivial class")
-    _, mult = primitive_root(x)
-    if mult != 1:
-        return False
-    return self_intersection(s, x) == 0
+    return primitive_root(x)[1] == 1 and not linked_pairs(s, x, x)
 
 
 @dataclass(frozen=True)
@@ -154,17 +153,17 @@ class SccReport:
 
 
 def _scc_worker(args) -> Optional[tuple[int, int]]:
-    """First (x_index, y_index) where bracket vanishing and linked-pair
-    vanishing disagree, over one chunk of the sweep: args is (surface,
-    chunk of indexed simple classes, all classes).  None if there is none."""
+    """First (x position among the simple classes, y index) where bracket
+    vanishing and linked-pair vanishing disagree, over one chunk of the
+    sweep: args is (surface, chunk of (position, simple class), all
+    classes).  None if there is none."""
     s, simple_classes, all_classes = args
-    for xi, x in simple_classes:
+    for xp, x in simple_classes:
         for yi, y in enumerate(all_classes):
-            cells = _linked_cells(s, x.letters, y.letters)
-            if not cells:
+            if not linked_pairs(s, x, y):
                 continue  # empty sum is zero on both sides
             if bracket_classes(s, x, y).is_zero:
-                return (xi, yi)
+                return (xp, yi)
     return None
 
 
@@ -177,12 +176,13 @@ def scc_criterion_audit(
     The simple classes are dealt into ``workers`` chunks, swept in a
     process pool (in this process for at most one worker); the least of
     the chunks' first violations in (x, y) order is reported, whatever
-    the worker count.
+    the worker count.  ``pairs_checked`` counts the pairs up to and
+    including that violation in (x, y) order, or all pairs on a pass.
     """
     if length_bound < 1:
         raise ValueError("length bound must be at least 1")
     classes = enumerate_cyclic_classes(s.rank, length_bound)
-    simples = [(i, x) for i, x in enumerate(classes) if is_simple(s, x)]
+    simples = list(enumerate(x for x in classes if is_simple(s, x)))
     workers = max(workers or 1, 1)
     chunks = (simples[k::workers] for k in range(workers))
     jobs = [(s, chunk, classes) for chunk in chunks if chunk]
@@ -194,15 +194,18 @@ def scc_criterion_audit(
     else:
         found = map(_scc_worker, jobs)
     violation = min((v for v in found if v is not None), default=None)
+    pairs_checked = len(simples) * len(classes)
+    if violation is not None:
+        xp, yi = violation
+        pairs_checked = xp * len(classes) + yi + 1
+        violation = (simples[xp][1], classes[yi])
     return SccReport(
         passed=violation is None,
         length_bound=length_bound,
         classes_checked=len(classes),
         simple_classes=len(simples),
-        pairs_checked=len(simples) * len(classes),
-        violation=None
-        if violation is None
-        else (classes[violation[0]], classes[violation[1]]),
+        pairs_checked=pairs_checked,
+        violation=violation,
     )
 
 

@@ -47,7 +47,6 @@ distinct germs keeps their cyclic orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .surface import SurfaceSymbol, germ_positions
@@ -63,31 +62,6 @@ from .words import (
 class UnguaranteedPairError(PreconditionError):
     """The input pair is outside the regime where the linked-pair count
     is guaranteed to equal the geometric intersection number."""
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """A rotation of a class: the strand aligned at vertex visit i."""
-
-    cls: CyclicClass
-    index: int
-
-    def __post_init__(self):
-        if not 0 <= self.index < max(len(self.cls), 1):
-            raise ValueError("rotation index out of range")
-
-
-@dataclass(frozen=True)
-class LinkedPair:
-    """A pair of occurrences forcing a transversal crossing, with sign."""
-
-    occ1: Occurrence
-    occ2: Occurrence
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
 
 
 def turn_sign(s: SurfaceSymbol, d: int, x: int, y: int) -> int:
@@ -139,19 +113,19 @@ def _linked_cells(
 
 def linked_pairs(
     s: SurfaceSymbol, x: CyclicClass, y: CyclicClass
-) -> tuple[LinkedPair, ...]:
-    """All linked pairs of occurrences of x and y, ordered by (i, j).
+) -> tuple[tuple[int, int, int], ...]:
+    """All linked pairs (i, j, sign) of x and y, ordered by (i, j): the
+    strand of x aligned at vertex visit i crosses the strand of y
+    aligned at visit j with the given sign.
 
     Every forced crossing of taut representatives appears exactly once.
     Pairs of equal or mutually inverse strands never link (parallel taut
-    copies are drawn disjoint).
+    copies are drawn disjoint).  This is the one way into the cached
+    crossing kernel.
     """
     if x.is_trivial or y.is_trivial:
         raise TrivialClassError("linked pairs need non-trivial classes")
-    return tuple(
-        LinkedPair(Occurrence(x, i), Occurrence(y, j), sign)
-        for i, j, sign in _linked_cells(s, x.letters, y.letters)
-    )
+    return _linked_cells(s, x.letters, y.letters)
 
 
 def unguaranteed_reason(x: CyclicClass, y: CyclicClass) -> str | None:
@@ -179,7 +153,7 @@ def intersection_number(s: SurfaceSymbol, x: CyclicClass, y: CyclicClass) -> int
     reason = unguaranteed_reason(x, y)
     if reason is not None:
         raise UnguaranteedPairError(reason)
-    return len(_linked_cells(s, x.letters, y.letters))
+    return len(linked_pairs(s, x, y))
 
 
 def self_intersection(s: SurfaceSymbol, x: CyclicClass) -> int:
@@ -190,15 +164,13 @@ def self_intersection(s: SurfaceSymbol, x: CyclicClass) -> int:
     _, mult = primitive_root(x)
     if mult != 1:
         raise UnguaranteedPairError("self_intersection requires a primitive class")
-    cells = _linked_cells(s, x.letters, x.letters)
+    cells = linked_pairs(s, x, x)
     if len(cells) % 2:
         raise AssertionError("self linked cells must pair up")
     return len(cells) // 2
 
 
 __all__ = [
-    "LinkedPair",
-    "Occurrence",
     "UnguaranteedPairError",
     "intersection_number",
     "linked_pairs",

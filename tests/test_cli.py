@@ -29,6 +29,13 @@ def test_intersect():
     lines = out.strip().splitlines()
     assert lines[-1] == "2"
     assert len(lines) == 3 and all(line.startswith("(") for line in lines[:-1])
+    # exact --pairs output, one (i, j, sign) line per linked pair, then the count
+    for srf, x, y, expected in [
+        ("torus.srf", "ab", "aB", "(0, 0, -1)\n(1, 0, -1)\n2\n"),
+        ("pants.srf", "aB", "aab", "(0, 0, +1)\n(0, 1, -1)\n2\n"),
+        ("genus1b2.srf", "abC", "cAb", "(0, 0, +1)\n(0, 1, +1)\n2\n"),
+    ]:
+        assert run("intersect", DEMO / srf, x, y, "--pairs") == (0, expected)
 
 
 def test_intersect_precondition_exit_code():

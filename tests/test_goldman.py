@@ -1,7 +1,9 @@
+import multiprocessing
 import random
 
 import pytest
 
+from curvebracket import goldman
 from curvebracket.goldman import (
     BracketElement,
     bracket,
@@ -10,12 +12,14 @@ from curvebracket.goldman import (
     parse_element,
     scc_criterion_audit,
 )
-from curvebracket.linking import linked_pairs
+from curvebracket.linking import linked_pairs, self_intersection
 from curvebracket.words import (
     TrivialClassError,
     canonical_cyclic,
     class_power,
+    enumerate_cyclic_classes,
     inverse_word,
+    primitive_root,
 )
 
 from conftest import cls
@@ -115,7 +119,7 @@ def test_jacobi_random(torus, pants, genus1b2):
             assert total.is_zero, (s, x, y, z)
 
 
-def test_is_simple(torus, pants):
+def test_is_simple(torus, pants, genus1b2):
     assert is_simple(torus, cls("a"))
     assert is_simple(torus, cls("ab"))
     assert is_simple(torus, cls("aab"))
@@ -125,9 +129,13 @@ def test_is_simple(torus, pants):
     assert not is_simple(pants, cls("aB"))
     with pytest.raises(TrivialClassError):
         is_simple(torus, cls(""))
+    for s in (torus, pants, genus1b2):
+        for x in enumerate_cyclic_classes(s.rank, 5):
+            primitive = primitive_root(x)[1] == 1
+            assert is_simple(s, x) == (primitive and self_intersection(s, x) == 0), x
 
 
-def test_scc_criterion_audit(torus, pants):
+def test_scc_criterion_audit(torus, pants, monkeypatch):
     for s in (torus, pants):
         report = scc_criterion_audit(s, 3)
         assert report.passed
@@ -135,6 +143,23 @@ def test_scc_criterion_audit(torus, pants):
         assert report.violation is None
     tiny = scc_criterion_audit(torus, 1)
     assert tiny.passed
+    # a bracket forced to vanish on a linked pair: the sweep stops there
+    # and counts the pairs up to it in (x, y) order, for any worker count;
+    # pool workers see the patch only when they are forked
+    original = goldman.bracket_classes
+
+    def broken(s, x, y):
+        if (x, y) == (cls("ab"), cls("aB")):
+            return BracketElement.zero()
+        return original(s, x, y)
+
+    monkeypatch.setattr(goldman, "bracket_classes", broken)
+    forked = multiprocessing.get_start_method() == "fork"
+    for workers in (1, 2) if forked else (1,):
+        report = scc_criterion_audit(torus, 3, workers=workers)
+        assert not report.passed
+        assert report.violation == (cls("ab"), cls("aB"))
+        assert report.pairs_checked == 103
 
 
 def test_scc_consistency_with_counts(torus):

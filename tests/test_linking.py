@@ -48,7 +48,7 @@ def test_linked_pairs_examples(torus, pants):
 
 def test_linked_pairs_deterministic_order(torus):
     pairs = linked_pairs(torus, cls("ab"), cls("aB"))
-    grid = [(p.occ1.index, p.occ2.index) for p in pairs]
+    grid = [(i, j) for i, j, _ in pairs]
     assert grid == sorted(grid)
 
 
@@ -171,9 +171,12 @@ def test_linked_cells_match_reference_kernel(torus, pants, genus1b2):
     kernel = _linked_cells.__wrapped__
 
     def check(s, x, y):
-        assert kernel(s, x.letters, y.letters) == reference_linked_cells(
-            s, x.letters, y.letters
-        ), (s, x, y)
+        cells = kernel(s, x.letters, y.letters)
+        assert cells == reference_linked_cells(s, x.letters, y.letters), (s, x, y)
+        for i, j, sign in cells:
+            assert 0 <= i < len(x) and 0 <= j < len(y) and sign in (-1, 1)
+        if x == y:
+            assert len(cells) % 2 == 0, (s, x)
 
     rng = random.Random(11)
     symbols = [torus, pants, genus1b2]

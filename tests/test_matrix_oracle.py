@@ -72,7 +72,7 @@ def test_linked_cells_match_axis_crossings(torus):
     ]
     checked = 0
     for x, y in sample:
-        cells = {(p.occ1.index, p.occ2.index) for p in linked_pairs(torus, x, y)}
+        cells = {(i, j) for i, j, _ in linked_pairs(torus, x, y)}
         for i in range(len(x)):
             for j in range(len(y)):
                 if not canonical_cell(x.letters, i, y.letters, j):
