@@ -24,6 +24,20 @@ form (alternating factors, no power of c unless it is the only
 syllable), so only the top can interact with what comes next, and
 every step keeps the product while it pops the stack or ends in a push.
 The work is linear in the number of syllables; nothing restarts.
+
+Products of two reduced forms head * g are worked only at the seam: the
+pass starts with head as its stack and pushes g's syllables, and copies
+the rest of g as it is once a syllable goes on unchanged.  That happens
+when the top of the stack lies in the other factor, the stack is not a
+lone power of c, and the syllable is not a power of c.  This is exact,
+spelling for spelling: if g has a syllable after that one, g has at
+least two syllables, so (being reduced) none of them is a power of c
+and they alternate.  The next syllable then meets a top of the other
+factor that is not a power of c, on a stack of two or more, and goes on
+unchanged too.  Cyclic reduction rotates the last syllable in this way,
+the lemma sweep forms a * g from the reduced g, and the brute-force
+oracle forms q * w * q^-1 from a table of reduced (q, q^-1) pairs that
+the sweep builds once and hands to every oracle call.
 """
 
 from __future__ import annotations
@@ -131,16 +145,40 @@ def c_power_of(p: AmalgamPresentation, factor: str, word: tuple[int, ...]) -> Op
         return 0
     c, c_inv = p.edge_words[factor]
     n = len(c)
+    head = word[:n]
+    if head != c and head != c_inv:
+        return None
     q, r = divmod(len(word), n)
     if r or word[n:] != word[:-n]:
         return None
-    head = word[:n]
-    return q if head == c else -q if head == c_inv else None
+    return q if head == c else -q
 
 
 def _c_power_word(p: AmalgamPresentation, factor: str, k: int) -> tuple[int, ...]:
     c, c_inv = p.edge_words[factor]
     return c * k if k >= 0 else c_inv * -k
+
+
+def _push(
+    p: AmalgamPresentation,
+    out: list[tuple[str, tuple[int, ...]]],
+    tag: str,
+    w: tuple[int, ...],
+) -> None:
+    """Push the freely reduced syllable (tag, w) onto the reduced form
+    out, in place: one step of the stack pass."""
+    while w:
+        if out and out[-1][0] == tag:
+            w = reduce(out.pop()[1] + w)
+        elif len(out) == 1 and (k := c_power_of(p, *out[0])) is not None:
+            out.pop()
+            w = reduce(_c_power_word(p, tag, k) + w)
+        elif out and (k := c_power_of(p, tag, w)) is not None:
+            tag = out[-1][0]
+            w = _c_power_word(p, tag, k)
+        else:
+            out.append((tag, w))
+            return
 
 
 def _normalize_syllables(
@@ -150,24 +188,29 @@ def _normalize_syllables(
     the module docstring."""
     out: list[tuple[str, tuple[int, ...]]] = []
     for tag, w in syllables:
-        w = reduce(w)
-        while w:
-            if out and out[-1][0] == tag:
-                w = reduce(out.pop()[1] + w)
-                continue
-            if len(out) == 1:
-                k = c_power_of(p, *out[0])
-                if k is not None:
-                    out.pop()
-                    w = reduce(_c_power_word(p, tag, k) + w)
-                    continue
-            k = c_power_of(p, tag, w)
-            if k is not None and out:
-                tag = out[-1][0]
-                w = _c_power_word(p, tag, k)
-                continue
-            out.append((tag, w))
-            break
+        _push(p, out, tag, reduce(w))
+    return out
+
+
+def _seam(
+    p: AmalgamPresentation,
+    head: list[tuple[str, tuple[int, ...]]],
+    g: list[tuple[str, tuple[int, ...]]],
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The reduced form of head * g, both reduced forms: the stack pass
+    started at head, which copies the rest of g once a syllable of g
+    would go on unchanged (see the module docstring).  The result is
+    spelled exactly as _normalize_syllables(p, head + g)."""
+    out = list(head)
+    for i, (tag, w) in enumerate(g):
+        if (
+            out
+            and out[-1][0] != tag
+            and not (len(out) == 1 and c_power_of(p, *out[0]) is not None)
+            and c_power_of(p, tag, w) is None
+        ):
+            return out + g[i:]
+        _push(p, out, tag, w)
     return out
 
 
@@ -179,19 +222,22 @@ def normalize(p: AmalgamPresentation, w: AmalgamWord) -> AmalgamWord:
 
 
 def _cyclic_normalize_syllables(
-    p: AmalgamPresentation, syllables: list[tuple[str, tuple[int, ...]]]
+    p: AmalgamPresentation, form: list[tuple[str, tuple[int, ...]]]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    out = _normalize_syllables(p, syllables)
-    while len(out) >= 2 and out[0][0] == out[-1][0]:
-        out = _normalize_syllables(p, [out[-1]] + out[:-1])
-    return out
+    """A cyclically reduced conjugate of the reduced form: while its
+    ends lie in one factor, the last syllable is rotated to the front
+    through the seam."""
+    while len(form) >= 2 and form[0][0] == form[-1][0]:
+        form = _seam(p, [form[-1]], form[:-1])
+    return form
 
 
 def cyclic_normalize(p: AmalgamPresentation, w: AmalgamWord) -> AmalgamWord:
     """A cyclically reduced conjugate: first and last syllables lie in
     different factors, or the length is at most one.  The output length
     is a conjugacy invariant."""
-    return AmalgamWord(tuple(_cyclic_normalize_syllables(p, list(w.syllables))))
+    reduced = _normalize_syllables(p, list(w.syllables))
+    return AmalgamWord(tuple(_cyclic_normalize_syllables(p, reduced)))
 
 
 def conjugate_into_factor(p: AmalgamPresentation, w: AmalgamWord) -> Optional[str]:
@@ -202,7 +248,8 @@ def conjugate_into_factor(p: AmalgamPresentation, w: AmalgamWord) -> Optional[st
     the identity among them, lie in both factors; for them the answer is
     always factor A, whatever the spelling of w.
     """
-    return _factor_of(p, _cyclic_normalize_syllables(p, list(w.syllables)))
+    reduced = _normalize_syllables(p, list(w.syllables))
+    return _factor_of(p, _cyclic_normalize_syllables(p, reduced))
 
 
 def _factor_of(
@@ -247,6 +294,14 @@ def _statement_2_holds(
     return len(cyc) >= 2 or not g or (len(g) == 1 and g[0][0] == FACTOR_A)
 
 
+def _instance_cyclic(
+    p: AmalgamPresentation, a: tuple[int, ...], g: list[tuple[str, tuple[int, ...]]]
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The cyclic form of a * g, for a word a of factor A and a reduced
+    form g: only the seam of the product is worked."""
+    return _cyclic_normalize_syllables(p, _seam(p, [(FACTOR_A, a)], g))
+
+
 def check_lemma_statement_1(
     p: AmalgamPresentation, a: FactorElement, h: AmalgamWord, b: FactorElement
 ) -> bool:
@@ -260,7 +315,7 @@ def check_lemma_statement_1(
     if is_factor_peripheral(p, b):
         raise HypothesisError("b must not be conjugate into the edge subgroup")
     g = _normalize_syllables(p, _conjugated(list(h.syllables), [(FACTOR_B, b.word)]))
-    return _statement_1_holds(_cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g))
+    return _statement_1_holds(_instance_cyclic(p, a.word, g))
 
 
 def check_lemma_statement_2(
@@ -276,7 +331,7 @@ def check_lemma_statement_2(
     if is_factor_peripheral(p, a_prime):
         raise HypothesisError("a' must not be conjugate into the edge subgroup")
     g = _normalize_syllables(p, _conjugated(list(h.syllables), [(FACTOR_A, a_prime.word)]))
-    return _statement_2_holds(_cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g), g)
+    return _statement_2_holds(_instance_cyclic(p, a.word, g), g)
 
 
 def _factor_words(p: AmalgamPresentation, max_letters: int) -> dict:
@@ -296,30 +351,48 @@ def _alternating(p: AmalgamPresentation, words: dict, count: int):
             yield list(zip(tags, choice))
 
 
+def _conjugator_table(
+    p: AmalgamPresentation, max_syllables: int, max_letters: int
+) -> list[tuple[list, list]]:
+    """(q, q^-1) as reduced forms for every conjugator the brute-force
+    oracle searches, in search order."""
+    factor_words = _factor_words(p, max_letters)
+    table = []
+    for count in range(1, max_syllables + 1):
+        for conj in _alternating(p, factor_words, count):
+            q = _normalize_syllables(p, conj)
+            table.append((q, [(tag, inverse_word(w)) for tag, w in reversed(q)]))
+    return table
+
+
 def brute_force_conjugate_into_factor(
     p: AmalgamPresentation,
     w: AmalgamWord,
     max_syllables: int = 2,
     max_letters: int = 2,
+    *,
+    conjugators: Optional[list[tuple[list, list]]] = None,
 ) -> Optional[str]:
     """Independent oracle: search conjugators q with at most the given
     syllable count, each syllable a reduced factor word of at most the
     given length, for one making q w q^-1 a single syllable.
 
     Absence only means absence within the bounds.  Intended for small
-    bounds (max_syllables <= 4, max_letters <= 3).
+    bounds (max_syllables <= 4, max_letters <= 3).  conjugators, if
+    given, is _conjugator_table for the same bounds, built once by a
+    caller that searches many words.
     """
     if max_syllables > 4 or max_letters > 3:
         raise PreconditionError("brute force bounds are capped at 4 syllables, 3 letters")
     base = _normalize_syllables(p, list(w.syllables))
     if len(base) <= 1:
         return _factor_of(p, base)
-    factor_words = _factor_words(p, max_letters)
-    for count in range(1, max_syllables + 1):
-        for conj in _alternating(p, factor_words, count):
-            result = _normalize_syllables(p, _conjugated(conj, base))
-            if len(result) <= 1:
-                return _factor_of(p, result)
+    if conjugators is None:
+        conjugators = _conjugator_table(p, max_syllables, max_letters)
+    for q, q_inv in conjugators:
+        result = _seam(p, _seam(p, q, base), q_inv)
+        if len(result) <= 1:
+            return _factor_of(p, result)
     return None
 
 
@@ -354,8 +427,9 @@ def enumerate_h_words(
         for tag, ws in words.items()
     }
     out = [AmalgamWord(())]
-    for tag in (FACTOR_A, FACTOR_B):
-        out.extend(AmalgamWord(((tag, w),)) for w in words[tag])
+    if max_syllables >= 1:
+        for tag in (FACTOR_A, FACTOR_B):
+            out.extend(AmalgamWord(((tag, w),)) for w in words[tag])
     for count in range(2, max_syllables + 1):
         out.extend(AmalgamWord(tuple(s)) for s in _alternating(p, non_c, count))
     return out
@@ -371,6 +445,10 @@ def lemma_sweep(
     """Run both lemma statements over every bounded instance and compare
     conjugate_into_factor with the brute-force oracle on a deduplicated
     selection of the instances' cyclic forms."""
+    if max_letters < 1 or max_h_syllables < 0:
+        raise PreconditionError(
+            "the sweep needs max_letters >= 1 and max_h_syllables >= 0"
+        )
     non_peripheral = {
         tag: [e for e in (FactorElement(tag, w) for w in ws) if not is_factor_peripheral(p, e)]
         for tag, ws in _factor_words(p, max_letters).items()
@@ -388,7 +466,7 @@ def lemma_sweep(
         for b in non_peripheral[FACTOR_B]:
             g = _normalize_syllables(p, _conjugated(h_list, [(FACTOR_B, b.word)]))
             for a in non_peripheral[FACTOR_A]:
-                cyc = _cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g)
+                cyc = _instance_cyclic(p, a.word, g)
                 instances_1 += 1
                 case_counts[shape] = case_counts.get(shape, 0) + 1
                 if not _statement_1_holds(cyc):
@@ -401,7 +479,7 @@ def lemma_sweep(
         for a_prime in non_peripheral[FACTOR_A]:
             g = _normalize_syllables(p, _conjugated(h_list, [(FACTOR_A, a_prime.word)]))
             for a in non_peripheral[FACTOR_A]:
-                cyc = _cyclic_normalize_syllables(p, [(FACTOR_A, a.word)] + g)
+                cyc = _instance_cyclic(p, a.word, g)
                 instances_2 += 1
                 if not _statement_2_holds(cyc, g):
                     return LemmaSweepReport(
@@ -415,9 +493,10 @@ def lemma_sweep(
     forms = list(oracle_forms.values())
     if len(forms) > oracle_sample:
         forms = rng.sample(forms, oracle_sample)
+    conjugators = _conjugator_table(p, 2, 2)
     for form in forms:
         quick = conjugate_into_factor(p, form)
-        slow = brute_force_conjugate_into_factor(p, form, 2, 2)
+        slow = brute_force_conjugate_into_factor(p, form, 2, 2, conjugators=conjugators)
         agreed = (quick is None and slow is None) or quick == slow
         if not agreed:
             return LemmaSweepReport(

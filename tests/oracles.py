@@ -5,7 +5,10 @@ the slope oracle is the determinant formula for curves on the torus,
 and the slope words are built by the digital-line (Christoffel)
 construction.  The amalgam reference is the original
 restart-until-stable normal-form loop, kept to check the library's
-single stack pass against.  The crossing reference is the original
+single stack pass against; the brute-force conjugator search on top of
+it normalises every raw conjugator spelling q + w + q^-1 in full, and
+is kept to check the library's seam search over a table of reduced
+conjugators.  The crossing reference is the original
 linked-cell kernel, with one divergence walk per side of a cell, kept
 to check the library's single walk against; it shares only the
 orientation test.
@@ -13,7 +16,13 @@ orientation test.
 
 import math
 
-from curvebracket.amalgam import FACTOR_A, FactorElement, is_factor_peripheral
+from curvebracket.amalgam import (
+    FACTOR_A,
+    FactorElement,
+    _alternating,
+    _factor_words,
+    is_factor_peripheral,
+)
 from curvebracket.linking import _orient
 from curvebracket.surface import germ_positions
 from curvebracket.words import CyclicClass, canonical_cyclic, inverse_word, reduce
@@ -110,17 +119,36 @@ def reference_cyclic_normalize_syllables(p, syllables):
     return out
 
 
-def reference_conjugate_into_factor(p, syllables):
-    """conjugate_into_factor on the reference loop's cyclic form.  A
-    conjugate of a power of c lies in both factors; the reference loop
-    leaves it in a factor that depends on the spelling, so it is
-    reported as factor A, the library's convention."""
-    cyc = reference_cyclic_normalize_syllables(p, syllables)
-    if len(cyc) >= 2:
+def _reference_factor_of(p, form):
+    # A conjugate of a power of c lies in both factors; the reference
+    # loop leaves it in a factor that depends on the spelling, so it is
+    # reported as factor A, the library's convention.
+    if len(form) >= 2:
         return None
-    if not cyc or is_factor_peripheral(p, FactorElement(*cyc[0])):
+    if not form or is_factor_peripheral(p, FactorElement(*form[0])):
         return FACTOR_A
-    return cyc[0][0]
+    return form[0][0]
+
+
+def reference_conjugate_into_factor(p, syllables):
+    """conjugate_into_factor on the reference loop's cyclic form."""
+    return _reference_factor_of(p, reference_cyclic_normalize_syllables(p, syllables))
+
+
+def reference_brute_force_conjugate_into_factor(p, syllables, max_syllables=2, max_letters=2):
+    """brute_force_conjugate_into_factor as a per-call search: every raw
+    alternating conjugator q, and the reference loop on q + w + q^-1."""
+    base = reference_normalize_syllables(p, syllables)
+    if len(base) <= 1:
+        return _reference_factor_of(p, base)
+    factor_words = _factor_words(p, max_letters)
+    for count in range(1, max_syllables + 1):
+        for conj in _alternating(p, factor_words, count):
+            back = [(tag, inverse_word(w)) for tag, w in reversed(conj)]
+            result = reference_normalize_syllables(p, conj + base + back)
+            if len(result) <= 1:
+                return _reference_factor_of(p, result)
+    return None
 
 
 def reference_linked_cells(s, x, y):

@@ -9,6 +9,13 @@ from curvebracket.amalgam import (
     AmalgamWord,
     FactorElement,
     HypothesisError,
+    _alternating,
+    _conjugator_table,
+    _cyclic_normalize_syllables,
+    _factor_words,
+    _instance_cyclic,
+    _normalize_syllables,
+    _seam,
     brute_force_conjugate_into_factor,
     c_power_of,
     check_lemma_statement_1,
@@ -20,8 +27,9 @@ from curvebracket.amalgam import (
     lemma_sweep,
     normalize,
 )
-from curvebracket.words import inverse_word, reduce
+from curvebracket.words import PreconditionError, inverse_word, reduce
 from oracles import (
+    reference_brute_force_conjugate_into_factor,
     reference_conjugate_into_factor,
     reference_cyclic_normalize_syllables,
     reference_normalize_syllables,
@@ -287,3 +295,118 @@ def test_normal_form_matches_reference_on_conjugates():
         back = [(tag, inverse_word(word)) for tag, word in reversed(q)]
         for target in targets:
             assert_matches_reference(P, q + [target] + back)
+
+
+def _inverse_form(form):
+    return [(tag, inverse_word(word)) for tag, word in reversed(form)]
+
+
+def _rerun_cyclic(p, out):
+    """Cyclic reduction that re-runs the whole pass on every rotation."""
+    while len(out) >= 2 and out[0][0] == out[-1][0]:
+        out = _normalize_syllables(p, [out[-1]] + out[:-1])
+    return out
+
+
+def assert_seam_exact(p, head, tail):
+    full = _normalize_syllables(p, head + tail)
+    assert _seam(p, head, tail) == full
+    assert _cyclic_normalize_syllables(p, full) == _rerun_cyclic(p, full)
+
+
+def test_seam_lone_power_of_c_moves_factor():
+    # x y . y^-1 v leaves the lone edge word x, which crosses into B as u
+    assert _seam(P, [A((1, 2))], [A((-2,)), B(V)]) == [B((1, 2))]
+    assert _seam(P, [A(X)], [B(V), A(Y)]) == [B((1, 2)), A(Y)]
+
+
+def test_seam_matches_full_pass_on_random_forms():
+    rng = random.Random(29)
+    for p in DIFFERENTIAL_PRESENTATIONS:
+
+        def spell():
+            return [_random_syllable(rng, p) for _ in range(rng.randint(0, 3))]
+
+        for _ in range(1500):
+            # head = X c^k Y and tail = Y^-1 Z, so the product X c^k Z
+            # cancels down to the c power, which merges into X or, with X
+            # empty, moves into the factor of Z; all empty gives 1
+            x, y, z = spell(), _normalize_syllables(p, spell()), spell()
+            if rng.random() < 0.5:
+                tag = rng.choice((FACTOR_A, FACTOR_B))
+                k = rng.choice((-2, -1, 1, 2))
+                c = p.amalgam_word(tag)
+                x.append((tag, c * k if k > 0 else inverse_word(c) * -k))
+            head = _normalize_syllables(p, x + y)
+            tail = _normalize_syllables(p, _inverse_form(y) + z)
+            assert_seam_exact(p, head, tail)
+            assert_seam_exact(p, head, _normalize_syllables(p, spell()))
+            assert_seam_exact(p, head, _inverse_form(head))
+
+
+def _small_sweep_instances(p):
+    """(a, g) for every lemma_sweep instance at 1 letter and 2 h-syllables."""
+    non_peripheral = {
+        tag: [w for w in ws if not is_factor_peripheral(p, FactorElement(tag, w))]
+        for tag, ws in _factor_words(p, 1).items()
+    }
+    for h in enumerate_h_words(p, 1, 2):
+        q = list(h.syllables)
+        for core_tag in (FACTOR_A, FACTOR_B):
+            for core in non_peripheral[core_tag]:
+                g = _normalize_syllables(p, q + [(core_tag, core)] + _inverse_form(q))
+                for a in non_peripheral[FACTOR_A]:
+                    yield a, g
+
+
+def test_seam_matches_full_pass_on_small_sweep_instances():
+    for p in DIFFERENTIAL_PRESENTATIONS:
+        for a, g in _small_sweep_instances(p):
+            assert_seam_exact(p, [A(a)], g)
+            full = _normalize_syllables(p, [A(a)] + g)
+            assert _instance_cyclic(p, a, g) == _rerun_cyclic(p, full)
+
+
+def test_brute_force_matches_reference_on_small_sweep_forms():
+    forms = {}
+    for a, g in _small_sweep_instances(P):
+        cyc = _instance_cyclic(P, a, g)
+        forms.setdefault(tuple(cyc), cyc)
+    table = _conjugator_table(P, 2, 2)
+    answers = set()
+    for cyc in forms.values():
+        expected = reference_brute_force_conjugate_into_factor(P, cyc, 2, 2)
+        w = AmalgamWord(tuple(cyc))
+        assert brute_force_conjugate_into_factor(P, w, 2, 2) == expected
+        assert brute_force_conjugate_into_factor(P, w, 2, 2, conjugators=table) == expected
+        answers.add(expected)
+    assert answers == {None, FACTOR_A}
+
+
+def test_brute_force_matches_reference_on_conjugated_syllables():
+    rng = random.Random(31)
+    factor_words = _factor_words(P, 2)
+    conjugators = [
+        conj for count in (1, 2, 3) for conj in _alternating(P, factor_words, count)
+    ]
+    targets = [A(Y), B(V), A(X), B((2, 1, -2)), A((1, 2)), B((-1, -1))]
+    answers = set()
+    for target in targets:
+        for conj in rng.sample(conjugators, 12):
+            spelled = conj + [target] + _inverse_form(conj)
+            expected = reference_brute_force_conjugate_into_factor(P, spelled, 2, 2)
+            assert brute_force_conjugate_into_factor(P, AmalgamWord(tuple(spelled)), 2, 2) == expected
+            if expected is not None:
+                assert conjugate_into_factor(P, AmalgamWord(tuple(spelled))) == expected
+            answers.add(expected)
+    assert answers == {FACTOR_A, FACTOR_B, None}
+
+
+def test_sweep_bounds_are_honoured():
+    assert enumerate_h_words(P, 2, 0) == [W()]
+    assert len(enumerate_h_words(P, 2, 1)) == 33
+    for letters, syllables in ((0, 2), (1, -1)):
+        with pytest.raises(PreconditionError):
+            lemma_sweep(P, letters, syllables)
+    report = lemma_sweep(P, 1, 0)
+    assert report.passed and set(report.case_counts) == {"empty"}

@@ -17,3 +17,12 @@ def test_trivial_word_exit_code(tmp_path, capsys):
     (tmp_path / "torus.srf").write_text("rank 2\norder a b A B\n")
     status = main(["selfint", str(tmp_path / "torus.srf"), "aA"])
     assert status == 4
+
+
+def test_empty_lemma_sweep_exit_code(capsys):
+    base = ["amalgam", "check-lemma", "--cA", "a", "--cB", "a"]
+    for bounds in (["--max-letter", "0"], ["--max-syllables", "-1"]):
+        assert main(base + bounds) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_letters >= 1" in captured.err
