@@ -34,10 +34,11 @@ spelling for spelling: if g has a syllable after that one, g has at
 least two syllables, so (being reduced) none of them is a power of c
 and they alternate.  The next syllable then meets a top of the other
 factor that is not a power of c, on a stack of two or more, and goes on
-unchanged too.  Cyclic reduction rotates the last syllable in this way,
-the lemma sweep forms a * g from the reduced g, and the brute-force
-oracle forms q * w * q^-1 from a table of reduced (q, q^-1) pairs that
-the sweep builds once and hands to every oracle call.
+unchanged too.  For the same reason only a one-syllable g is tested for
+a power of c.  Cyclic reduction rotates the last syllable in this way,
+the lemma sweep forms g = h * core * h^-1 from the reduced h and then
+a * g, and the brute-force oracle forms q * w * q^-1 from a table of
+reduced (q, q^-1) pairs, built once per sweep.
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def _seam(
             out
             and out[-1][0] != tag
             and not (len(out) == 1 and c_power_of(p, *out[0]) is not None)
-            and c_power_of(p, tag, w) is None
+            and (len(g) > 1 or c_power_of(p, tag, w) is None)
         ):
             return out + g[i:]
         _push(p, out, tag, w)
@@ -273,11 +274,11 @@ def is_factor_peripheral(p: AmalgamPresentation, e: FactorElement) -> bool:
     return is_power_of(cyc, canonical_cyclic(p.amalgam_word(e.factor)))
 
 
-def _conjugated(
-    conj: list[tuple[str, tuple[int, ...]]], target: list[tuple[str, tuple[int, ...]]]
+def _inverse_form(
+    form: list[tuple[str, tuple[int, ...]]]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    back = [(tag, inverse_word(w)) for tag, w in reversed(conj)]
-    return conj + target + back
+    """The reduced form of the inverse of a reduced form."""
+    return [(tag, inverse_word(w)) for tag, w in reversed(form)]
 
 
 def _statement_1_holds(cyc: list[tuple[str, tuple[int, ...]]]) -> bool:
@@ -314,7 +315,8 @@ def check_lemma_statement_1(
         raise HypothesisError("a must not be conjugate into the edge subgroup")
     if is_factor_peripheral(p, b):
         raise HypothesisError("b must not be conjugate into the edge subgroup")
-    g = _normalize_syllables(p, _conjugated(list(h.syllables), [(FACTOR_B, b.word)]))
+    h_form = _normalize_syllables(p, list(h.syllables))
+    g = _seam(p, _seam(p, h_form, [(FACTOR_B, b.word)]), _inverse_form(h_form))
     return _statement_1_holds(_instance_cyclic(p, a.word, g))
 
 
@@ -330,7 +332,8 @@ def check_lemma_statement_2(
         raise HypothesisError("a must not be conjugate into the edge subgroup")
     if is_factor_peripheral(p, a_prime):
         raise HypothesisError("a' must not be conjugate into the edge subgroup")
-    g = _normalize_syllables(p, _conjugated(list(h.syllables), [(FACTOR_A, a_prime.word)]))
+    h_form = _normalize_syllables(p, list(h.syllables))
+    g = _seam(p, _seam(p, h_form, [(FACTOR_A, a_prime.word)]), _inverse_form(h_form))
     return _statement_2_holds(_instance_cyclic(p, a.word, g), g)
 
 
@@ -361,7 +364,7 @@ def _conjugator_table(
     for count in range(1, max_syllables + 1):
         for conj in _alternating(p, factor_words, count):
             q = _normalize_syllables(p, conj)
-            table.append((q, [(tag, inverse_word(w)) for tag, w in reversed(q)]))
+            table.append((q, _inverse_form(q)))
     return table
 
 
@@ -462,9 +465,10 @@ def lemma_sweep(
     for h in h_words:
         shape = _h_shape(h.syllables)
         h_list = list(h.syllables)
+        h_inv = _inverse_form(h_list)
         keep_for_oracle = len(h_list) <= 2
         for b in non_peripheral[FACTOR_B]:
-            g = _normalize_syllables(p, _conjugated(h_list, [(FACTOR_B, b.word)]))
+            g = _seam(p, _seam(p, h_list, [(FACTOR_B, b.word)]), h_inv)
             for a in non_peripheral[FACTOR_A]:
                 cyc = _instance_cyclic(p, a.word, g)
                 instances_1 += 1
@@ -477,7 +481,7 @@ def lemma_sweep(
                 if keep_for_oracle:
                     oracle_forms.setdefault(tuple(cyc), AmalgamWord(tuple(cyc)))
         for a_prime in non_peripheral[FACTOR_A]:
-            g = _normalize_syllables(p, _conjugated(h_list, [(FACTOR_A, a_prime.word)]))
+            g = _seam(p, _seam(p, h_list, [(FACTOR_A, a_prime.word)]), h_inv)
             for a in non_peripheral[FACTOR_A]:
                 cyc = _instance_cyclic(p, a.word, g)
                 instances_2 += 1

@@ -34,7 +34,6 @@ from .words import (
     format_word,
     inverse_word,
     parse_word,
-    reduce,
 )
 
 PRESERVING = "preserving"
@@ -67,17 +66,13 @@ class SurfaceMap:
                 raise ValueError("image word uses letters beyond the target rank")
 
 
-def apply_map_word(m: SurfaceMap, word: Sequence[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    for l in word:
-        image = m.images[abs(l) - 1]
-        out.extend(image if l > 0 else inverse_word(image))
-    return reduce(out)
-
-
 def apply_map(m: SurfaceMap, x: CyclicClass) -> CyclicClass:
     """Image class under the induced map on free homotopy classes."""
-    return canonical_cyclic(apply_map_word(m, x.letters))
+    out: list[int] = []
+    for l in x.letters:
+        image = m.images[abs(l) - 1]
+        out.extend(image if l > 0 else inverse_word(image))
+    return canonical_cyclic(out)
 
 
 def apply_map_element(m: SurfaceMap, elem: BracketElement) -> BracketElement:
@@ -136,9 +131,9 @@ def enumerate_classes(
     raise ValueError(f"unknown filter {which!r}")
 
 
-def _sample_pairs(
-    classes: list[CyclicClass], sample: Optional[tuple[int, int]]
-) -> tuple[list[tuple[CyclicClass, CyclicClass]], str]:
+def _sample_pairs(classes: list, sample: Optional[tuple[int, int]]) -> tuple[list, str]:
+    if sample is not None and sample[0] < 1:
+        raise PreconditionError("the audit sample needs a pair count >= 1")
     pairs = [(x, y) for i, x in enumerate(classes) for y in classes[i:]]
     if sample is None:
         return pairs, f"exhaustive over {len(classes)} classes"
@@ -150,12 +145,18 @@ def _sample_pairs(
     return [pairs[k] for k in picked], f"random {count} pairs, seed {seed}"
 
 
-def _require_target(m: SurfaceMap) -> None:
+def _mapped_pairs(
+    m: SurfaceMap, length_bound: int, sample: Optional[tuple[int, int]]
+) -> tuple[list, str]:
+    """The sampled pairs ((x, fx), (y, fy)) of source classes and their
+    images, and the sample description; each class is mapped once."""
     if is_excluded_surface(m.target):
         raise ExcludedSurfaceError(
             "the target surface is excluded: not allowed to be "
             "the plane or the cylinder"
         )
+    classes = enumerate_classes(m.source, length_bound)
+    return _sample_pairs([(x, apply_map(m, x)) for x in classes], sample)
 
 
 def audit_bracket(
@@ -163,34 +164,31 @@ def audit_bracket(
 ) -> AuditReport:
     """Compare mapped brackets with brackets of mapped classes over the
     chosen sample of source class pairs."""
-    _require_target(m)
-    classes = enumerate_classes(m.source, length_bound)
-    pairs, description = _sample_pairs(classes, sample)
-    eq_failures: list[Certificate] = []
-    neg_failures: list[Certificate] = []
-    hard: list[Certificate] = []
-    any_nonzero = False
-    for x, y in pairs:
+    pairs, description = _mapped_pairs(m, length_bound, sample)
+    not_preserved = not_negated = None
+    neither: list[Certificate] = []
+    for (x, fx), (y, fy) in pairs:
         pushed = apply_map_element(m, bracket_classes(m.source, x, y))
-        direct = bracket_classes(m.target, apply_map(m, x), apply_map(m, y))
-        if not (pushed.is_zero and direct.is_zero):
-            any_nonzero = True
-        cert = Certificate(x, y, pushed, direct)
+        direct = bracket_classes(m.target, fx, fy)
         eq = direct == pushed
         neg = direct == -pushed
-        if not eq:
-            eq_failures.append(cert)
-        if not neg:
-            neg_failures.append(cert)
-        if not eq and not neg:
-            hard.append(cert)
-    if not eq_failures:
+        if eq and neg:
+            continue
+        cert = Certificate(x, y, pushed, direct)
+        if not eq and not_preserved is None:
+            not_preserved = cert
+        if not neg and not_negated is None:
+            not_negated = cert
+        if not eq and not neg and len(neither) < 10:
+            neither.append(cert)
+    # a pair that is not preserved has a non-zero side; the certificates
+    # are the first ten pairs neither preserved nor negated, else one of each
+    if not_preserved is None:
         verdict, certs = PRESERVING, ()
-    elif not neg_failures and any_nonzero:
+    elif not_negated is None:
         verdict, certs = ANTI_PRESERVING, ()
     else:
-        witnesses = hard if hard else (eq_failures[:1] + neg_failures[:1])
-        verdict, certs = VIOLATING, tuple(witnesses[:10])
+        verdict, certs = VIOLATING, tuple(neither or (not_preserved, not_negated))
     return AuditReport(verdict, certs, length_bound, description, len(pairs))
 
 
@@ -208,14 +206,11 @@ def audit_intersection(
     """
     if mode not in ("zero_pattern", "exact"):
         raise ValueError("mode must be 'zero_pattern' or 'exact'")
-    _require_target(m)
-    classes = enumerate_classes(m.source, length_bound)
-    pairs, description = _sample_pairs(classes, sample)
+    pairs, description = _mapped_pairs(m, length_bound, sample)
     description += f", mode {mode}, guaranteed regime only"
     certificates: list[Certificate] = []
     checked = skipped = 0
-    for x, y in pairs:
-        fx, fy = apply_map(m, x), apply_map(m, y)
+    for (x, fx), (y, fy) in pairs:
         if unguaranteed_reason(x, y) or unguaranteed_reason(fx, fy):
             skipped += 1
             continue

@@ -345,7 +345,8 @@ def test_seam_matches_full_pass_on_random_forms():
 
 
 def _small_sweep_instances(p):
-    """(a, g) for every lemma_sweep instance at 1 letter and 2 h-syllables."""
+    """(a, h, core, g) for every lemma_sweep instance at 1 letter and 2
+    h-syllables, with g = h core h^-1 built by the full pass."""
     non_peripheral = {
         tag: [w for w in ws if not is_factor_peripheral(p, FactorElement(tag, w))]
         for tag, ws in _factor_words(p, 1).items()
@@ -356,12 +357,13 @@ def _small_sweep_instances(p):
             for core in non_peripheral[core_tag]:
                 g = _normalize_syllables(p, q + [(core_tag, core)] + _inverse_form(q))
                 for a in non_peripheral[FACTOR_A]:
-                    yield a, g
+                    yield a, q, (core_tag, core), g
 
 
 def test_seam_matches_full_pass_on_small_sweep_instances():
     for p in DIFFERENTIAL_PRESENTATIONS:
-        for a, g in _small_sweep_instances(p):
+        for a, h, core, g in _small_sweep_instances(p):
+            assert _seam(p, _seam(p, h, [core]), _inverse_form(h)) == g
             assert_seam_exact(p, [A(a)], g)
             full = _normalize_syllables(p, [A(a)] + g)
             assert _instance_cyclic(p, a, g) == _rerun_cyclic(p, full)
@@ -369,7 +371,7 @@ def test_seam_matches_full_pass_on_small_sweep_instances():
 
 def test_brute_force_matches_reference_on_small_sweep_forms():
     forms = {}
-    for a, g in _small_sweep_instances(P):
+    for a, _, _, g in _small_sweep_instances(P):
         cyc = _instance_cyclic(P, a, g)
         forms.setdefault(tuple(cyc), cyc)
     table = _conjugator_table(P, 2, 2)

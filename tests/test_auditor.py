@@ -1,9 +1,11 @@
 import pytest
 
+from curvebracket import auditor
 from curvebracket.auditor import (
     ANTI_PRESERVING,
     PRESERVING,
     VIOLATING,
+    Certificate,
     ExcludedSurfaceError,
     SurfaceMap,
     apply_map,
@@ -140,6 +142,39 @@ def test_identity_map_preserves_everything(torus, pants):
         assert audit_bracket(ident, 3).verdict == PRESERVING
         for mode in ("zero_pattern", "exact"):
             assert audit_intersection(ident, 3, mode).verdict == PRESERVING
+
+
+def test_bracket_verdict_branches(monkeypatch, identity_to_pants):
+    # Source and target differ, so a stand-in bracket can give each side
+    # of each pair a chosen value; the identity map leaves both as they
+    # are.  No real map is known to reach the two-witness branch.
+    m = identity_to_pants
+    classes = enumerate_classes(m.source, 2)
+    pairs = [(x, y) for i, x in enumerate(classes) for y in classes[i:]]
+    zero, e = BracketElement.zero(), BracketElement.of(cls("ab"))
+    kept, flipped, neither = (e, e), (e, -e), (e, e + e)
+
+    def audit(sides):
+        values = dict(zip(pairs, sides))
+        monkeypatch.setattr(
+            auditor,
+            "bracket_classes",
+            lambda s, x, y: values[x, y][0 if s == m.source else 1],
+        )
+        report = audit_bracket(m, 2)
+        assert report.pairs_checked == len(pairs) == 78
+        return report.verdict, report.certificates
+
+    def cert(k, side):
+        return Certificate(*pairs[k], *side)
+
+    assert audit([(zero, zero)] * 78) == (PRESERVING, ())
+    assert audit([(zero, zero)] + [kept] * 77) == (PRESERVING, ())
+    assert audit([(zero, zero)] + [flipped] * 77) == (ANTI_PRESERVING, ())
+    sides = [kept] * 3 + [neither] * 75
+    assert audit(sides) == (VIOLATING, tuple(cert(k, neither) for k in range(3, 13)))
+    sides = [(zero, zero), kept, kept, flipped, kept, flipped] + [(zero, zero)] * 72
+    assert audit(sides) == (VIOLATING, (cert(3, flipped), cert(1, kept)))
 
 
 def test_certificates_reverify(identity_to_pants):

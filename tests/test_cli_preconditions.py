@@ -1,4 +1,8 @@
+from pathlib import Path
+
 from curvebracket.cli import main
+
+FLAGSHIP = Path(__file__).resolve().parent.parent / "demo" / "torus_to_pants.map"
 
 
 def test_excluded_target_exit_code(tmp_path, capsys):
@@ -26,3 +30,13 @@ def test_empty_lemma_sweep_exit_code(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_letters >= 1" in captured.err
+
+
+def test_empty_audit_sample_exit_code(capsys):
+    for what in ("bracket", "intersection"):
+        for count in ("0", "-1"):
+            argv = ["audit", what, str(FLAGSHIP), "--max-len", "2", "--sample", count]
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "pair count >= 1" in captured.err
