@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .goldman import BracketElement, bracket_classes, is_simple
 from .linking import linked_pairs, unguaranteed_reason
@@ -22,6 +22,7 @@ from .surface import (
     SurfaceSymbol,
     is_excluded_surface,
     is_peripheral,
+    parse_letter,
     parse_surface,
     tokenize_lines,
 )
@@ -119,8 +120,6 @@ def enumerate_classes(
 ) -> list[CyclicClass]:
     """Non-trivial canonical classes up to the length bound, one per
     conjugacy class, in deterministic lexicographic order."""
-    if length_bound < 1:
-        raise ValueError("length bound must be at least 1")
     classes = enumerate_cyclic_classes(s.rank, length_bound)
     if which == "all":
         return classes
@@ -131,47 +130,44 @@ def enumerate_classes(
     raise ValueError(f"unknown filter {which!r}")
 
 
-def _sample_pairs(classes: list, sample: Optional[tuple[int, int]]) -> tuple[list, str]:
-    if sample is not None and sample[0] < 1:
-        raise PreconditionError("the audit sample needs a pair count >= 1")
-    pairs = [(x, y) for i, x in enumerate(classes) for y in classes[i:]]
-    if sample is None:
-        return pairs, f"exhaustive over {len(classes)} classes"
-    count, seed = sample
-    if count >= len(pairs):
-        return pairs, f"exhaustive over {len(classes)} classes (sample >= population)"
-    rng = random.Random(seed)
-    picked = sorted(rng.sample(range(len(pairs)), count))
-    return [pairs[k] for k in picked], f"random {count} pairs, seed {seed}"
-
-
-def _mapped_pairs(
-    m: SurfaceMap, length_bound: int, sample: Optional[tuple[int, int]]
-) -> tuple[list, str]:
-    """The sampled pairs ((x, fx), (y, fy)) of source classes and their
-    images, and the sample description; each class is mapped once."""
+def _audit(
+    m: SurfaceMap,
+    length_bound: int,
+    sample: Optional[tuple[int, int]],
+    compare: Callable[..., Optional[tuple]],
+    regime: str = "",
+) -> AuditReport:
+    """The loop of both map audits over the sampled pairs of source
+    classes, each class mapped once.  ``compare(x, fx, y, fy)`` gives
+    (pushed, direct, preserved, negated), or None to skip the pair.  The
+    certificates are the first ten pairs neither preserved nor negated,
+    else the first pair not preserved and the first not negated."""
     if is_excluded_surface(m.target):
         raise ExcludedSurfaceError(
-            "the target surface is excluded: not allowed to be "
-            "the plane or the cylinder"
+            "the target surface is excluded: not allowed to be the plane or the cylinder"
         )
     classes = enumerate_classes(m.source, length_bound)
-    return _sample_pairs([(x, apply_map(m, x)) for x in classes], sample)
-
-
-def audit_bracket(
-    m: SurfaceMap, length_bound: int, sample: Optional[tuple[int, int]] = None
-) -> AuditReport:
-    """Compare mapped brackets with brackets of mapped classes over the
-    chosen sample of source class pairs."""
-    pairs, description = _mapped_pairs(m, length_bound, sample)
+    if sample is not None and sample[0] < 1:
+        raise PreconditionError("the audit sample needs a pair count >= 1")
+    mapped = [(x, apply_map(m, x)) for x in classes]
+    pairs = [(a, b) for i, a in enumerate(mapped) for b in mapped[i:]]
+    description = f"exhaustive over {len(classes)} classes"
+    if sample is not None and sample[0] >= len(pairs):
+        description += " (sample >= population)"
+    elif sample is not None:
+        count, seed = sample
+        picked = sorted(random.Random(seed).sample(range(len(pairs)), count))
+        pairs = [pairs[k] for k in picked]
+        description = f"random {count} pairs, seed {seed}"
     not_preserved = not_negated = None
     neither: list[Certificate] = []
+    checked = 0
     for (x, fx), (y, fy) in pairs:
-        pushed = apply_map_element(m, bracket_classes(m.source, x, y))
-        direct = bracket_classes(m.target, fx, fy)
-        eq = direct == pushed
-        neg = direct == -pushed
+        compared = compare(x, fx, y, fy)
+        if compared is None:
+            continue
+        checked += 1
+        pushed, direct, eq, neg = compared
         if eq and neg:
             continue
         cert = Certificate(x, y, pushed, direct)
@@ -181,15 +177,28 @@ def audit_bracket(
             not_negated = cert
         if not eq and not neg and len(neither) < 10:
             neither.append(cert)
-    # a pair that is not preserved has a non-zero side; the certificates
-    # are the first ten pairs neither preserved nor negated, else one of each
     if not_preserved is None:
         verdict, certs = PRESERVING, ()
     elif not_negated is None:
         verdict, certs = ANTI_PRESERVING, ()
     else:
         verdict, certs = VIOLATING, tuple(neither or (not_preserved, not_negated))
-    return AuditReport(verdict, certs, length_bound, description, len(pairs))
+    skipped = len(pairs) - checked
+    return AuditReport(verdict, certs, length_bound, description + regime, checked, skipped)
+
+
+def audit_bracket(
+    m: SurfaceMap, length_bound: int, sample: Optional[tuple[int, int]] = None
+) -> AuditReport:
+    """Compare mapped brackets with brackets of mapped classes over the
+    chosen sample of source class pairs."""
+
+    def compare(x, fx, y, fy):
+        pushed = apply_map_element(m, bracket_classes(m.source, x, y))
+        direct = bracket_classes(m.target, fx, fy)
+        return pushed, direct, direct == pushed, direct == -pushed
+
+    return _audit(m, length_bound, sample, compare)
 
 
 def audit_intersection(
@@ -202,30 +211,24 @@ def audit_intersection(
 
     Pairs are restricted to the regime where the count is guaranteed
     (``unguaranteed_reason`` is None for the pair and for its image);
-    skipped pairs are tallied in the report.
+    skipped pairs are tallied in the report.  A count has no sign, so
+    the verdict is never anti-preserving and the certificates are the
+    first ten failing pairs.
     """
     if mode not in ("zero_pattern", "exact"):
         raise ValueError("mode must be 'zero_pattern' or 'exact'")
-    pairs, description = _mapped_pairs(m, length_bound, sample)
-    description += f", mode {mode}, guaranteed regime only"
-    certificates: list[Certificate] = []
-    checked = skipped = 0
-    for (x, fx), (y, fy) in pairs:
+
+    def compare(x, fx, y, fy):
         if unguaranteed_reason(x, y) or unguaranteed_reason(fx, fy):
-            skipped += 1
-            continue
-        checked += 1
+            return None
         source_count = len(linked_pairs(m.source, x, y))
         target_count = len(linked_pairs(m.target, fx, fy))
-        if mode == "zero_pattern":
-            ok = (source_count == 0) == (target_count == 0)
-        else:
-            ok = source_count == target_count
-        if not ok and len(certificates) < 10:
-            certificates.append(Certificate(x, y, source_count, target_count))
-    verdict = PRESERVING if not certificates else VIOLATING
-    return AuditReport(
-        verdict, tuple(certificates), length_bound, description, checked, skipped
+        zeros_agree = (source_count == 0) == (target_count == 0)
+        ok = zeros_agree if mode == "zero_pattern" else source_count == target_count
+        return source_count, target_count, ok, False
+
+    return _audit(
+        m, length_bound, sample, compare, f", mode {mode}, guaranteed regime only"
     )
 
 
@@ -281,10 +284,7 @@ def parse_map_file(text: str, base_dir: Path) -> SurfaceMap:
                 raise ParseError("expected 'map <generator> -> <word>'", lineno, col)
             if source is None:
                 raise ParseError("'map' before 'source'", lineno, col)
-            try:
-                (gen,) = parse_word(fields[1], rank=source.rank)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, cols[1]) from exc
+            gen = parse_letter(fields[1], source.rank, lineno, cols[1])
             if gen < 0:
                 raise ParseError("map lines name generators, not inverses", lineno, col)
             if gen in image_tokens:

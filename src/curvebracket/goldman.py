@@ -179,8 +179,6 @@ def scc_criterion_audit(
     the worker count.  ``pairs_checked`` counts the pairs up to and
     including that violation in (x, y) order, or all pairs on a pass.
     """
-    if length_bound < 1:
-        raise ValueError("length bound must be at least 1")
     classes = enumerate_cyclic_classes(s.rank, length_bound)
     simples = list(enumerate(x for x in classes if is_simple(s, x)))
     workers = max(workers or 1, 1)

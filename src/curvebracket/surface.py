@@ -126,41 +126,56 @@ def tokenize_lines(text: str) -> Iterator[tuple[int, list[str], list[int]]]:
             yield lineno, [t.group() for t in tokens], [t.start() + 1 for t in tokens]
 
 
+def parse_letter(token: str, rank: int, line: int, column: int) -> int:
+    """The one generator or inverse letter a file token names; any other
+    token is a parse error at the token's line and column."""
+    try:
+        letters = parse_word(token, rank=rank)
+    except ValueError as exc:
+        raise ParseError(str(exc), line, column) from exc
+    if len(letters) != 1:
+        raise ParseError(f"expected one letter, got {token!r}", line, column)
+    return letters[0]
+
+
 def parse_surface(text: str) -> SurfaceSymbol:
     """Parse the plain-text surface format::
 
         rank 2
         order a b A B
 
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored; each keyword appears once.
     """
     rank: int | None = None
-    germs: tuple[int, ...] | None = None
+    symbol: SurfaceSymbol | None = None
     for lineno, fields, cols in tokenize_lines(text):
         keyword, col = fields[0], cols[0]
         if keyword == "rank":
+            if rank is not None:
+                raise ParseError("duplicate 'rank' line", lineno, col)
             if len(fields) != 2 or not fields[1].isdigit():
                 raise ParseError("expected 'rank <n>'", lineno, col)
             rank = int(fields[1])
+            if rank < 1:
+                raise ParseError("rank must be at least 1", lineno, cols[1])
         elif keyword == "order":
+            if symbol is not None:
+                raise ParseError("duplicate 'order' line", lineno, col)
             if rank is None:
                 raise ParseError("'order' before 'rank'", lineno, col)
-            collected = []
-            for tok, tok_col in zip(fields[1:], cols[1:]):
-                try:
-                    (letter,) = parse_word(tok, rank=rank)
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno, tok_col) from exc
-                collected.append(letter)
-            germs = tuple(collected)
+            germs = tuple(
+                parse_letter(tok, rank, lineno, tok_col)
+                for tok, tok_col in zip(fields[1:], cols[1:])
+            )
+            try:
+                symbol = SurfaceSymbol(rank, germs)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno, col) from exc
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, col)
-    if rank is None or germs is None:
+    if symbol is None:
         raise ParseError("file must define 'rank' and 'order'", 1, 1)
-    try:
-        return SurfaceSymbol(rank, germs)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from exc
+    return symbol
 
 
 __all__ = [
@@ -172,6 +187,7 @@ __all__ = [
     "germ_positions",
     "is_excluded_surface",
     "is_peripheral",
+    "parse_letter",
     "parse_surface",
     "tokenize_lines",
 ]

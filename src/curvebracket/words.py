@@ -250,6 +250,8 @@ def enumerate_reduced_words(rank: int, max_len: int):
 
 def enumerate_cyclic_classes(rank: int, max_len: int) -> list[CyclicClass]:
     """All non-trivial canonical classes of length <= max_len, sorted."""
+    if max_len < 1:
+        raise PreconditionError("length bound must be at least 1")
     seen: set[tuple[int, ...]] = set()
     for w in enumerate_reduced_words(rank, max_len):
         if not w or w[0] == -w[-1]:

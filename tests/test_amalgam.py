@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from curvebracket import amalgam
 from curvebracket.amalgam import (
     FACTOR_A,
     FACTOR_B,
@@ -9,6 +10,7 @@ from curvebracket.amalgam import (
     AmalgamWord,
     FactorElement,
     HypothesisError,
+    LemmaSweepReport,
     _alternating,
     _conjugator_table,
     _cyclic_normalize_syllables,
@@ -27,6 +29,7 @@ from curvebracket.amalgam import (
     lemma_sweep,
     normalize,
 )
+from curvebracket.cli import main
 from curvebracket.words import PreconditionError, inverse_word, reduce
 from oracles import (
     reference_brute_force_conjugate_into_factor,
@@ -412,3 +415,75 @@ def test_sweep_bounds_are_honoured():
             lemma_sweep(P, letters, syllables)
     report = lemma_sweep(P, 1, 0)
     assert report.passed and set(report.case_counts) == {"empty"}
+
+
+def test_lemma_sweep_failure_reports(monkeypatch, capsys):
+    # A stand-in gives a wrong answer on its n-th call, so each way the
+    # sweep can fail is reached: statement 1, statement 2, and the oracle.
+    counts = {"empty": 4, "single A": 16, "single B": 16}
+    full = (
+        "case empty: 4 instances\n"
+        "case single A: 16 instances\n"
+        "case single B: 16 instances\n"
+        "statement 1 instances: 36\n"
+        "statement 2 instances: 36\n"
+        "oracle cross-checks: 35\n"
+    )
+    cases = [
+        (
+            "_statement_1_holds", 5, False,
+            LemmaSweepReport(
+                False, 5, 4, {"empty": 4, "single A": 1}, 0, True,
+                failure="statement 1 failed on a=(A: b), h=(A: a), b=(B: b)",
+            ),
+            "case empty: 4 instances\n"
+            "case single A: 1 instances\n"
+            "statement 1 instances: 5\n"
+            "statement 2 instances: 4\n"
+            "oracle cross-checks: 0\n"
+            "fail: statement 1 failed on a=(A: b), h=(A: a), b=(B: b)\n",
+        ),
+        (
+            "_statement_2_holds", 3, False,
+            LemmaSweepReport(
+                False, 4, 3, {"empty": 4}, 0, True,
+                failure="statement 2 failed on a=(A: b), h=(1), a'=(A: B)",
+            ),
+            "case empty: 4 instances\n"
+            "statement 1 instances: 4\n"
+            "statement 2 instances: 3\n"
+            "oracle cross-checks: 0\n"
+            "fail: statement 2 failed on a=(A: b), h=(1), a'=(A: B)\n",
+        ),
+        (
+            "brute_force_conjugate_into_factor", 2, "stand-in",
+            LemmaSweepReport(
+                False, 36, 36, counts, 35, False,
+                failure="oracle disagreement on (A: B)(B: b): None vs stand-in",
+            ),
+            full + "fail: oracle disagreement on (A: B)(B: b): None vs stand-in\n",
+        ),
+    ]
+    argv = ["amalgam", "check-lemma", "--cA", "a", "--cB", "a"]
+    argv += ["--max-letter", "1", "--max-syllables", "1"]
+    for name, n, wrong, report, out in cases:
+
+        def install(real=getattr(amalgam, name)):
+            calls = []
+
+            def stand_in(*args, **kwargs):
+                calls.append(args)
+                return wrong if len(calls) == n else real(*args, **kwargs)
+
+            monkeypatch.setattr(amalgam, name, stand_in)
+
+        install()
+        assert lemma_sweep(P, 1, 1) == report
+        install()
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().out == out
+        monkeypatch.undo()
+    assert lemma_sweep(P, 1, 1) == LemmaSweepReport(True, 36, 36, counts, 35, True)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == full + "pass\n"

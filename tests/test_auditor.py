@@ -177,6 +177,49 @@ def test_bracket_verdict_branches(monkeypatch, identity_to_pants):
     assert audit(sides) == (VIOLATING, (cert(3, flipped), cert(1, kept)))
 
 
+def test_intersection_verdict_branches(monkeypatch, identity_to_pants):
+    # Stand-ins choose, per pair, whether it is skipped and the linked-pair
+    # count on each side; the identity map leaves both classes as they are.
+    m = identity_to_pants
+    classes = enumerate_classes(m.source, 2)
+    pairs = [(x, y) for i, x in enumerate(classes) for y in classes[i:]]
+    skip = None
+
+    def audit(sides, mode="exact"):
+        values = dict(zip(pairs, sides))
+        monkeypatch.setattr(
+            auditor,
+            "unguaranteed_reason",
+            lambda x, y: "stand-in" if values[x, y] is skip else None,
+        )
+        monkeypatch.setattr(
+            auditor,
+            "linked_pairs",
+            lambda s, x, y: ((0, 0, 1),) * values[x, y][0 if s == m.source else 1],
+        )
+        report = audit_intersection(m, 2, mode)
+        assert report.pairs_checked + report.pairs_skipped == len(pairs) == 78
+        return report.verdict, report.certificates, report.pairs_checked
+
+    def cert(k, side):
+        return Certificate(*pairs[k], *side)
+
+    assert audit([skip] * 78) == (PRESERVING, (), 0)
+    assert audit([(0, 0), (1, 1), (2, 2)] * 26) == (PRESERVING, (), 78)
+    assert audit([(0, 0), (1, 2), skip] * 26, "zero_pattern") == (PRESERVING, (), 52)
+    # a count has no sign: the failing pairs are certificates, the first
+    # ten in pair order, and no sweep reads as anti-preserving
+    sides = [(1, 1), skip, (1, 1)] + [(2, 1), skip] * 37 + [(0, 0)]
+    failing = tuple(cert(k, (2, 1)) for k in range(3, 23, 2))
+    assert audit(sides) == (VIOLATING, failing, 40)
+    assert audit([(1, 0)] * 78, "zero_pattern") == (
+        VIOLATING,
+        tuple(cert(k, (1, 0)) for k in range(10)),
+        78,
+    )
+    assert audit([(0, 1)] + [skip] * 77, "zero_pattern") == (VIOLATING, (cert(0, (0, 1)),), 1)
+
+
 def test_certificates_reverify(identity_to_pants):
     m = identity_to_pants
     report = audit_bracket(m, 2)
@@ -251,6 +294,11 @@ def test_map_file_errors(tmp_path):
         parse_map_file(
             "source t.srf\ntarget t.srf\nmap a -> a\n", tmp_path
         )  # missing image for b
+    head = "source t.srf\ntarget t.srf\n"
+    for line, column in (("map ab -> a\n", 5), ("map  aA -> a\n", 6)):
+        with pytest.raises(ParseError, match="expected one letter") as info:
+            parse_map_file(head + line, tmp_path)
+        assert (info.value.line, info.value.column) == (3, column)
 
 
 def test_map_file_image_rank_checked_when_map_precedes_target(tmp_path):

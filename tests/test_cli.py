@@ -159,3 +159,27 @@ def test_byte_identical_output():
     a2 = run("audit", "bracket", DEMO / "torus_to_pants.map", "--max-len", "3",
              "--sample", "25", "--seed", "5")
     assert a1 == a2
+
+
+def test_audit_intersection_trivial_image(tmp_path):
+    # a -> aA sends a to the trivial class, which leaves the guaranteed
+    # regime: every pair whose image holds it is skipped
+    for name in ("torus.srf", "pants.srf"):
+        (tmp_path / name).write_text((DEMO / name).read_text())
+    (tmp_path / "m.map").write_text(
+        "source torus.srf\ntarget pants.srf\nmap a -> aA\nmap b -> b\n"
+    )
+    status, out = run("audit", "intersection", tmp_path / "m.map", "--max-len", "2")
+    assert status == 3
+    assert out == (
+        "verdict: violating\n"
+        "pairs checked: 9 (exhaustive over 12 classes, mode zero_pattern, "
+        "guaranteed regime only)\n"
+        "pairs skipped (outside guaranteed regime): 69\n"
+        "certificate: b aB pushed=1 direct=0\n"
+        "certificate: b AB pushed=1 direct=0\n"
+        "certificate: B ab pushed=1 direct=0\n"
+        "certificate: B Ab pushed=1 direct=0\n"
+        "certificate: ab aB pushed=2 direct=0\n"
+        "certificate: Ab AB pushed=2 direct=0\n"
+    )

@@ -40,3 +40,18 @@ def test_empty_audit_sample_exit_code(capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "pair count >= 1" in captured.err
+
+
+def test_length_bound_below_one_exit_code(capsys):
+    torus = str(FLAGSHIP.parent / "torus.srf")
+    for bound in ("0", "-2"):
+        for argv in (
+            ["enumerate", torus],
+            ["audit", "bracket", str(FLAGSHIP)],
+            ["audit", "intersection", str(FLAGSHIP)],
+            ["fill-check", torus, "--system", "a,b"],
+        ):
+            assert main(argv + ["--max-len", bound]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "length bound must be at least 1" in captured.err

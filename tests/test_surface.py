@@ -112,3 +112,16 @@ def test_parse_surface_errors():
         parse_surface("order a A\n")
     with pytest.raises(ParseError):
         parse_surface("rank 1\n")
+    # each error names one line and the column of its token
+    for text, where, message in [
+        ("rank 2\norder ab A B\n", (2, 7), "expected one letter, got 'ab'"),
+        ("rank 2\norder a b A\n", (2, 1), "germ_order must contain"),
+        ("rank 2\n# germs\n  order a b A B B\n", (3, 3), "germ_order must contain"),
+        ("rank 0\norder a A\n", (1, 6), "rank must be at least 1"),
+        ("rank 2\norder a b A B\nrank 2\n", (3, 1), "duplicate 'rank' line"),
+        ("rank 2\nrank 3\norder a b A B\n", (2, 1), "duplicate 'rank' line"),
+        ("rank 1\norder a A\n order A a\n", (3, 2), "duplicate 'order' line"),
+    ]:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_surface(text)
+        assert (err.value.line, err.value.column) == where
