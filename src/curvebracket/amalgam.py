@@ -44,6 +44,7 @@ reduced (q, q^-1) pairs, built once per sweep.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,6 +63,9 @@ from .words import (
 
 FACTOR_A = "A"
 FACTOR_B = "B"
+
+# lemma_sweep refuses bounds that allow more instances than this
+SWEEP_INSTANCE_LIMIT = 10_000_000
 
 
 class HypothesisError(PreconditionError):
@@ -281,9 +285,11 @@ def _inverse_form(
     return [(tag, inverse_word(w)) for tag, w in reversed(form)]
 
 
-def _statement_1_holds(cyc: list[tuple[str, tuple[int, ...]]]) -> bool:
-    """Statement 1's conclusion, given the cyclic form of a * g: a * g is
-    not conjugate into a factor."""
+def _statement_1_holds(
+    cyc: list[tuple[str, tuple[int, ...]]], g: list[tuple[str, tuple[int, ...]]]
+) -> bool:
+    """Statement 1's conclusion, given the cyclic form of a * g (g is not
+    read): a * g is not conjugate into a factor."""
     return len(cyc) >= 2
 
 
@@ -317,7 +323,7 @@ def check_lemma_statement_1(
         raise HypothesisError("b must not be conjugate into the edge subgroup")
     h_form = _normalize_syllables(p, list(h.syllables))
     g = _seam(p, _seam(p, h_form, [(FACTOR_B, b.word)]), _inverse_form(h_form))
-    return _statement_1_holds(_instance_cyclic(p, a.word, g))
+    return _statement_1_holds(_instance_cyclic(p, a.word, g), g)
 
 
 def check_lemma_statement_2(
@@ -438,6 +444,32 @@ def enumerate_h_words(
     return out
 
 
+def _word_count(rank: int, max_letters: int) -> float:
+    """The number of non-empty reduced words of at most max_letters
+    letters in a free group of the given rank, sum of 2r(2r-1)^(k-1)
+    over k; inf once it overflows a float."""
+    if rank == 1:
+        return 2.0 * max_letters
+    try:
+        return rank * ((2 * rank - 1.0) ** max_letters - 1) / (rank - 1)
+    except OverflowError:
+        return math.inf
+
+
+def _sweep_bound(p: AmalgamPresentation, max_letters: int, max_h_syllables: int) -> float:
+    """An upper bound on the lemma sweep's instances from the ranks and
+    bounds alone: H * W_A * (W_A + W_B), with W the words per factor and
+    H the empty h plus both alternations of every syllable count."""
+    w_a, w_b = _word_count(p.rank_a, max_letters), _word_count(p.rank_b, max_letters)
+    h, from_a, from_b = 1.0, w_a, w_b
+    for _ in range(max_h_syllables):
+        h += from_a + from_b
+        if h == math.inf:
+            break
+        from_a, from_b = w_a * from_b, w_b * from_a
+    return h * w_a * (w_a + w_b)
+
+
 def lemma_sweep(
     p: AmalgamPresentation,
     max_letters: int = 2,
@@ -452,64 +484,57 @@ def lemma_sweep(
         raise PreconditionError(
             "the sweep needs max_letters >= 1 and max_h_syllables >= 0"
         )
+    bound = _sweep_bound(p, max_letters, max_h_syllables)
+    if bound > SWEEP_INSTANCE_LIMIT:
+        raise PreconditionError(
+            f"the sweep bounds allow up to {bound:.2g} instances, over the limit "
+            f"of {SWEEP_INSTANCE_LIMIT:.0e}; lower max_letters or max_h_syllables"
+        )
     non_peripheral = {
         tag: [e for e in (FactorElement(tag, w) for w in ws) if not is_factor_peripheral(p, e)]
         for tag, ws in _factor_words(p, max_letters).items()
     }
     h_words = enumerate_h_words(p, max_letters, max_h_syllables)
 
-    case_counts: dict[str, int] = {}
-    instances_1 = instances_2 = 0
-    oracle_forms: dict[tuple, AmalgamWord] = {}
+    # (factor of the core that h conjugates, the core's name, the
+    # conclusion); built per call, so a replaced conclusion is the one run
+    statements = ((FACTOR_B, "b", _statement_1_holds), (FACTOR_A, "a'", _statement_2_holds))
+    tallies = ({}, {})  # instances per h-shape, one tally per statement
+    oracle_forms: dict[tuple, None] = {}
+
+    def report(passed: bool, checked: int, agreed: bool, failure: Optional[str] = None):
+        instances = (sum(t.values()) for t in tallies)
+        return LemmaSweepReport(passed, *instances, tallies[0], checked, agreed, failure)
 
     for h in h_words:
         shape = _h_shape(h.syllables)
         h_list = list(h.syllables)
         h_inv = _inverse_form(h_list)
         keep_for_oracle = len(h_list) <= 2
-        for b in non_peripheral[FACTOR_B]:
-            g = _seam(p, _seam(p, h_list, [(FACTOR_B, b.word)]), h_inv)
-            for a in non_peripheral[FACTOR_A]:
-                cyc = _instance_cyclic(p, a.word, g)
-                instances_1 += 1
-                case_counts[shape] = case_counts.get(shape, 0) + 1
-                if not _statement_1_holds(cyc):
-                    return LemmaSweepReport(
-                        False, instances_1, instances_2, case_counts, 0, True,
-                        failure=f"statement 1 failed on a={a}, h={h}, b={b}",
-                    )
-                if keep_for_oracle:
-                    oracle_forms.setdefault(tuple(cyc), AmalgamWord(tuple(cyc)))
-        for a_prime in non_peripheral[FACTOR_A]:
-            g = _seam(p, _seam(p, h_list, [(FACTOR_A, a_prime.word)]), h_inv)
-            for a in non_peripheral[FACTOR_A]:
-                cyc = _instance_cyclic(p, a.word, g)
-                instances_2 += 1
-                if not _statement_2_holds(cyc, g):
-                    return LemmaSweepReport(
-                        False, instances_1, instances_2, case_counts, 0, True,
-                        failure=f"statement 2 failed on a={a}, h={h}, a'={a_prime}",
-                    )
-                if keep_for_oracle:
-                    oracle_forms.setdefault(tuple(cyc), AmalgamWord(tuple(cyc)))
+        for number, ((tag, name, holds), tally) in enumerate(zip(statements, tallies), 1):
+            for core in non_peripheral[tag]:
+                g = _seam(p, _seam(p, h_list, [(tag, core.word)]), h_inv)
+                for a in non_peripheral[FACTOR_A]:
+                    cyc = _instance_cyclic(p, a.word, g)
+                    tally[shape] = tally.get(shape, 0) + 1
+                    if not holds(cyc, g):
+                        failure = f"statement {number} failed on a={a}, h={h}, {name}={core}"
+                        return report(False, 0, True, failure)
+                    if keep_for_oracle:
+                        oracle_forms[tuple(cyc)] = None
 
     rng = random.Random(oracle_seed)
-    forms = list(oracle_forms.values())
+    forms = list(oracle_forms)
     if len(forms) > oracle_sample:
         forms = rng.sample(forms, oracle_sample)
     conjugators = _conjugator_table(p, 2, 2)
-    for form in forms:
+    for form in map(AmalgamWord, forms):
         quick = conjugate_into_factor(p, form)
         slow = brute_force_conjugate_into_factor(p, form, 2, 2, conjugators=conjugators)
-        agreed = (quick is None and slow is None) or quick == slow
-        if not agreed:
-            return LemmaSweepReport(
-                False, instances_1, instances_2, case_counts, len(forms), False,
-                failure=f"oracle disagreement on {form}: {quick} vs {slow}",
-            )
-    return LemmaSweepReport(
-        True, instances_1, instances_2, case_counts, len(forms), True
-    )
+        if quick != slow:
+            failure = f"oracle disagreement on {form}: {quick} vs {slow}"
+            return report(False, len(forms), False, failure)
+    return report(True, len(forms), True)
 
 
 __all__ = [

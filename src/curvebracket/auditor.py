@@ -275,6 +275,8 @@ def parse_map_file(text: str, base_dir: Path) -> SurfaceMap:
                 symbol = parse_surface(path.read_text())
             except OSError as exc:
                 raise ParseError(f"cannot read {path}: {exc}", lineno, col) from exc
+            except ParseError as exc:
+                raise ParseError(f"in {fields[1]}: {exc}", lineno, col) from exc
             if keyword == "source":
                 source = symbol
             else:
@@ -291,6 +293,10 @@ def parse_map_file(text: str, base_dir: Path) -> SurfaceMap:
                 raise ParseError(f"duplicate image for generator {fields[1]}", lineno, cols[1])
             image_tokens[gen] = (fields[3], lineno, cols[3])
         elif keyword == "expect_equivalence":
+            if len(fields) != 1:
+                raise ParseError("expected 'expect_equivalence'", lineno, col)
+            if expect:
+                raise ParseError("duplicate 'expect_equivalence' line", lineno, col)
             expect = True
         else:
             raise ParseError(f"unknown keyword {keyword!r}", lineno, col)

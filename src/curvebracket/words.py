@@ -249,12 +249,16 @@ def enumerate_reduced_words(rank: int, max_len: int):
 
 
 def enumerate_cyclic_classes(rank: int, max_len: int) -> list[CyclicClass]:
-    """All non-trivial canonical classes of length <= max_len, sorted."""
+    """All non-trivial canonical classes of length <= max_len, sorted.
+
+    enumerate_reduced_words already runs in CyclicClass.sort_key order,
+    so each class is kept as the one cyclically reduced word that is its
+    own least rotation, where it comes up.
+    """
     if max_len < 1:
         raise PreconditionError("length bound must be at least 1")
-    seen: set[tuple[int, ...]] = set()
-    for w in enumerate_reduced_words(rank, max_len):
-        if not w or w[0] == -w[-1]:
-            continue
-        seen.add(min_rotation(w))
-    return sorted((CyclicClass(w) for w in seen), key=CyclicClass.sort_key)
+    return [
+        CyclicClass(w)
+        for w in enumerate_reduced_words(rank, max_len)
+        if w and w[0] != -w[-1] and min_rotation(w) == w
+    ]

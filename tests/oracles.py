@@ -3,8 +3,10 @@
 The slope oracles deliberately avoid the library's crossing machinery:
 the slope oracle is the determinant formula for curves on the torus,
 and the slope words are built by the digital-line (Christoffel)
-construction.  The amalgam reference is the original
-restart-until-stable normal-form loop, kept to check the library's
+construction.  The class enumeration reference collects least
+rotations in a set and sorts them, kept to check the library's single
+pass in enumeration order against.  The amalgam reference is the
+original restart-until-stable normal-form loop, kept to check the library's
 single stack pass against; the brute-force conjugator search on top of
 it normalises every raw conjugator spelling q + w + q^-1 in full, and
 is kept to check the library's seam search over a table of reduced
@@ -25,7 +27,14 @@ from curvebracket.amalgam import (
 )
 from curvebracket.linking import _orient
 from curvebracket.surface import germ_positions
-from curvebracket.words import CyclicClass, canonical_cyclic, inverse_word, reduce
+from curvebracket.words import (
+    CyclicClass,
+    canonical_cyclic,
+    enumerate_reduced_words,
+    inverse_word,
+    min_rotation,
+    reduce,
+)
 
 
 def slope_intersection(p: int, q: int, r: int, s: int) -> int:
@@ -57,6 +66,17 @@ def coprime_pairs(bound: int):
         for q in range(-bound, bound + 1)
         if (p, q) != (0, 0) and math.gcd(p, q) == 1
     ]
+
+
+def reference_enumerate_cyclic_classes(rank, max_len):
+    """Every non-trivial canonical class of length <= max_len: the least
+    rotations of all cyclically reduced words, deduplicated in a set and
+    sorted."""
+    seen = set()
+    for w in enumerate_reduced_words(rank, max_len):
+        if w and w[0] != -w[-1]:
+            seen.add(min_rotation(w))
+    return sorted((CyclicClass(w) for w in seen), key=CyclicClass.sort_key)
 
 
 def _syllable_c_power(p, tag, w):

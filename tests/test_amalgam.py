@@ -248,6 +248,23 @@ DIFFERENTIAL_PRESENTATIONS = (
 )
 
 
+def test_lemma_sweep_reports_where_the_statements_differ():
+    # with cA = cB = a the two statements have equally many instances;
+    # here they do not, so a sweep that mixed up the two counts fails
+    shapes = ("empty", "single A", "single B", "A..B", "B..A")
+    expected = (
+        (68, 68, (4, 16, 16, 16, 16), 59),
+        (200, 400, (8, 32, 32, 64, 64), 60),
+        (200, 400, (8, 32, 32, 64, 64), 60),
+        (1416, 2124, (24, 144, 96, 576, 576), 60),
+    )
+    for p, (one, two, counts, checked) in zip(DIFFERENTIAL_PRESENTATIONS, expected):
+        case_counts = dict(zip(shapes, counts))
+        assert lemma_sweep(p, 1, 2, 60) == LemmaSweepReport(
+            True, one, two, case_counts, checked, True
+        )
+
+
 def assert_matches_reference(p, syllables):
     w = AmalgamWord(tuple(syllables))
     new = normalize(p, w).syllables

@@ -299,6 +299,23 @@ def test_map_file_errors(tmp_path):
         with pytest.raises(ParseError, match="expected one letter") as info:
             parse_map_file(head + line, tmp_path)
         assert (info.value.line, info.value.column) == (3, column)
+    images = "map a -> a\nmap b -> b\n"
+    for line, column in (("expect_equivalence yes\n", 1), ("  expect_equivalence yes please\n", 3)):
+        with pytest.raises(ParseError, match="expected 'expect_equivalence'") as info:
+            parse_map_file(head + line + images, tmp_path)
+        assert (info.value.line, info.value.column) == (3, column)
+
+
+def test_map_file_names_the_surface_file_in_its_parse_errors(tmp_path):
+    (tmp_path / "t.srf").write_text("rank 2\norder a b A B\n")
+    (tmp_path / "bad.srf").write_text("rank two\n")
+    text = "source t.srf\n target bad.srf\nmap a -> a\nmap b -> b\n"
+    with pytest.raises(ParseError) as info:
+        parse_map_file(text, tmp_path)
+    assert (info.value.line, info.value.column) == (2, 2)
+    assert str(info.value) == (
+        "line 2, column 2: in bad.srf: line 1, column 1: expected 'rank <n>'"
+    )
 
 
 def test_map_file_image_rank_checked_when_map_precedes_target(tmp_path):
@@ -319,6 +336,7 @@ def test_map_file_duplicate_lines(tmp_path):
         (head + "target pants.srf\ntarget torus.srf\n", (5, 1)),
         (head + "target pants.srf\n  source torus.srf\n", (5, 3)),
         (head + "map b -> ab\ntarget pants.srf\n", (4, 5)),
+        (head + "expect_equivalence\ntarget pants.srf\n expect_equivalence\n", (6, 2)),
     ):
         with pytest.raises(ParseError, match="duplicate") as info:
             parse_map_file(text, tmp_path)

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 from curvebracket.cli import main
@@ -30,6 +31,20 @@ def test_empty_lemma_sweep_exit_code(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "max_letters >= 1" in captured.err
+
+
+def test_oversized_lemma_sweep_refused_up_front(capsys):
+    base = ["amalgam", "check-lemma", "--cA", "a", "--cB", "a"]
+    for bounds, size in (
+        (["--max-letter", "9", "--max-syllables", "9"], "1.4e+51"),
+        (["--rankA", "26", "--rankB", "26", "--max-letter", "9", "--max-syllables", "1"], "5.7e+46"),
+    ):
+        start = time.perf_counter()
+        assert main(base + bounds) == 4
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"allow up to {size} instances, over the limit of 1e+07" in captured.err
 
 
 def test_empty_audit_sample_exit_code(capsys):

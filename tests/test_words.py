@@ -18,6 +18,7 @@ from curvebracket.words import (
 )
 
 from conftest import cls
+from oracles import reference_enumerate_cyclic_classes
 
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda l: l != 0)
@@ -113,3 +114,9 @@ def test_enumerate_cyclic_classes_small():
     assert cls("ba") in classes2  # same object as ab
     assert len(set(classes2)) == len(classes2)
     assert classes2 == sorted(classes2, key=CyclicClass.sort_key)
+
+
+def test_enumerate_cyclic_classes_matches_reference():
+    for rank, max_len in ((1, 6), (2, 6), (3, 5)):
+        got = enumerate_cyclic_classes(rank, max_len)
+        assert got == reference_enumerate_cyclic_classes(rank, max_len)
